@@ -7,7 +7,6 @@ validation failures, 3 for internal invariant violations.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -15,7 +14,14 @@ import time
 import numpy as np
 
 from .budget import BudgetLedger
-from .data import load_dataset, load_schema, save_dataset, save_schema
+from .data import (
+    csv_table,
+    load_dataset,
+    load_schema,
+    save_dataset,
+    save_schema,
+    write_csv,
+)
 from .errors import DataValidationError, InternalInvariantError
 from .evaluation import collect_diagnostics, cross_validate, report_to_dict
 from .forest import TrainConfig, build_forest, load_model, predict_batch, save_model
@@ -138,19 +144,9 @@ def _cmd_predict(args) -> int:
         )
     data = load_dataset(args.data, schema, require_label=False)
     codes = predict_batch(model, data)
-    header = list(schema.feature_names)
-    if data.has_labels:
-        header.append(schema.label_column)
-    header.append("prediction")
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i, record in enumerate(data.records()):
-            cells = [record.values[name] for name in schema.feature_names]
-            if data.has_labels:
-                cells.append(record.label)
-            cells.append(schema.class_labels[int(codes[i])])
-            writer.writerow(cells)
+    header, columns = csv_table(data)
+    write_csv(args.out, header + ["prediction"],
+              columns + [(codes, schema.class_labels)])
     _write_manifest("predict", args, [args.out], started)
     print(f"wrote {len(data)} predictions to {args.out}")
     return 0
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--data", required=True)
     predict.add_argument("--out", required=True,
                          help="CSV with an appended prediction column")
-    predict.add_argument("--threads", type=int, default=1)
     predict.set_defaults(func=_cmd_predict)
 
     evaluate = commands.add_parser("eval", help="repeated cross-validation")

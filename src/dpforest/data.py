@@ -10,6 +10,8 @@ on construction, so every Dataset in circulation is known to be clean.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -183,14 +185,20 @@ def _feature_from_dict(raw) -> FeatureSpec:
     raise DataValidationError(f"feature {name!r}: unknown kind {kind!r}")
 
 
-def load_schema(path: str) -> FeatureSchema:
-    """Read a schema from a JSON file."""
+def read_json(path: str):
+    """Parse a JSON file; malformed or too deeply nested text is a data error."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"{path}: not valid JSON: {exc}") from None
-    return FeatureSchema.from_dict(obj)
+        except RecursionError:
+            raise DataValidationError(f"{path}: JSON nested too deeply") from None
+
+
+def load_schema(path: str) -> FeatureSchema:
+    """Read a schema from a JSON file."""
+    return FeatureSchema.from_dict(read_json(path))
 
 
 def save_schema(schema: FeatureSchema, path: str) -> None:
@@ -307,81 +315,9 @@ class Dataset:
         labels = self._labels[indices] if self._labels is not None else None
         return Dataset(self.schema, columns, labels)
 
-    @classmethod
-    def from_records(
-        cls,
-        schema: FeatureSchema,
-        rows: Sequence[Mapping[str, float | str]],
-        labels: Sequence[str] | None = None,
-    ) -> "Dataset":
-        """Build a Dataset from decoded python rows, validating each cell.
 
-        Rows are mappings from feature name to value; row numbers in error
-        messages are 1-based. Labels, when given, must match the schema's
-        class labels and align with the rows.
-        """
-        if labels is not None and len(labels) != len(rows):
-            raise DataValidationError("labels do not align with rows")
-        columns: dict[str, list] = {name: [] for name in schema.feature_names}
-        label_index = {c: i for i, c in enumerate(schema.class_labels)}
-        value_index = {
-            f.name: {v: i for i, v in enumerate(f.values)}
-            for f in schema.discrete_features()
-        }
-        label_codes: list[int] = []
-        for row_no, row in enumerate(rows, start=1):
-            for feat in schema.features:
-                if feat.name not in row:
-                    raise DataValidationError(
-                        f"row {row_no}: feature {feat.name!r} missing"
-                    )
-                cell = row[feat.name]
-                if isinstance(feat, ContinuousFeature):
-                    columns[feat.name].append(
-                        _check_continuous_cell(feat, cell, row_no)
-                    )
-                else:
-                    code = value_index[feat.name].get(cell)
-                    if code is None:
-                        raise DataValidationError(
-                            f"row {row_no}: feature {feat.name!r}: value {cell!r} "
-                            f"not in declared values"
-                        )
-                    columns[feat.name].append(code)
-            if labels is not None:
-                code = label_index.get(labels[row_no - 1])
-                if code is None:
-                    raise DataValidationError(
-                        f"row {row_no}: label {labels[row_no - 1]!r} "
-                        f"not in class labels"
-                    )
-                label_codes.append(code)
-        arrays = {}
-        for feat in schema.features:
-            dtype = np.float64 if isinstance(feat, ContinuousFeature) else np.int32
-            arrays[feat.name] = np.asarray(columns[feat.name], dtype=dtype)
-        label_array = (
-            np.asarray(label_codes, dtype=np.int32) if labels is not None else None
-        )
-        return cls(schema, arrays, label_array)
-
-
-def _check_continuous_cell(feat: ContinuousFeature, cell, row_no: int) -> float:
-    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-        raise DataValidationError(
-            f"row {row_no}: feature {feat.name!r}: expected a number, got {cell!r}"
-        )
-    value = float(cell)
-    if not math.isfinite(value):
-        raise DataValidationError(
-            f"row {row_no}: feature {feat.name!r}: value is not finite"
-        )
-    if value < feat.lower or value > feat.upper:
-        raise DataValidationError(
-            f"row {row_no}: feature {feat.name!r}: value {value!r} outside "
-            f"bounds [{feat.lower}, {feat.upper}]"
-        )
-    return value
+# rows read or written per block; bounds the per-row Python objects alive at once
+_BLOCK_ROWS = 1000
 
 
 def load_dataset(path: str, schema: FeatureSchema, *, require_label: bool = True) -> Dataset:
@@ -391,6 +327,11 @@ def load_dataset(path: str, schema: FeatureSchema, *, require_label: bool = True
     schema's label column unless ``require_label`` is false and the column
     is absent. Unknown columns are rejected so that a mis-named column
     fails loudly instead of being ignored.
+
+    Rows are read a block at a time and converted column by column. The
+    error names the first fault: ragged rows and unparseable numbers in
+    row order first, then value faults row by row, in schema order within
+    a row and the label last. Row numbers are 1-based.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -416,34 +357,172 @@ def load_dataset(path: str, schema: FeatureSchema, *, require_label: bool = True
         if unknown:
             raise DataValidationError(f"{path}: unknown column {unknown[0]!r}")
 
-        rows: list[dict[str, float | str]] = []
-        labels: list[str] | None = [] if has_label else None
-        for row_no, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise DataValidationError(
-                    f"{path}: row {row_no}: expected {len(header)} cells, "
-                    f"got {len(cells)}"
-                )
-            row: dict[str, float | str] = {}
-            for feat in schema.features:
-                text = cells[positions[feat.name]]
-                if isinstance(feat, ContinuousFeature):
+        # one slot per schema feature, then the label: its CSV column and,
+        # for text, the code of each declared value
+        slots: list[tuple[int, dict[str, int] | None]] = [
+            (positions[f.name], None if isinstance(f, ContinuousFeature)
+             else {v: i for i, v in enumerate(f.values)})
+            for f in schema.features
+        ]
+        if has_label:
+            slots.append((positions[schema.label_column],
+                          {c: i for i, c in enumerate(schema.class_labels)}))
+        blocks: list[list[np.ndarray]] = [[] for _ in slots]
+        undeclared: list[tuple[int, str] | None] = [None] * len(slots)
+        width, done = len(header), 0
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            ragged = np.flatnonzero(lengths != width)
+            if ragged.size:
+                rows = rows[:ragged[0]]
+            cells = list(zip(*rows)) or [()] * width
+            unparsed: tuple[int, int] | None = None  # (row, slot) of the first
+            for k, (column, lookup) in enumerate(slots):
+                text = cells[column]
+                if lookup is None:
                     try:
-                        row[feat.name] = float(text)
+                        codes = np.fromiter(map(float, text), np.float64, len(text))
                     except ValueError:
-                        raise DataValidationError(
-                            f"{path}: row {row_no}: feature {feat.name!r}: "
-                            f"cannot parse {text!r} as a number"
-                        ) from None
+                        row = next(i for i, cell in enumerate(text) if not _parses(cell))
+                        if unparsed is None or row < unparsed[0]:
+                            unparsed = (row, k)
+                        continue
                 else:
-                    row[feat.name] = text
-            rows.append(row)
-            if labels is not None:
-                labels.append(cells[positions[schema.label_column]])
+                    codes = np.fromiter(map(lookup.get, text, itertools.repeat(-1)),
+                                        np.int32, len(text))
+                    bad = np.flatnonzero(codes < 0)
+                    if bad.size and undeclared[k] is None:
+                        undeclared[k] = (done + int(bad[0]), text[bad[0]])
+                blocks[k].append(codes)
+            if unparsed is not None:
+                row, k = unparsed
+                raise DataValidationError(
+                    f"{path}: row {done + row + 1}: feature "
+                    f"{schema.features[k].name!r}: cannot parse "
+                    f"{cells[slots[k][0]][row]!r} as a number"
+                )
+            if ragged.size:
+                raise DataValidationError(
+                    f"{path}: row {done + int(ragged[0]) + 1}: expected {width} "
+                    f"cells, got {int(lengths[ragged[0]])}"
+                )
+            done += len(rows)
+
+    arrays = [
+        np.concatenate(parts) if parts
+        else np.empty(0, np.float64 if lookup is None else np.int32)
+        for parts, (_, lookup) in zip(blocks, slots)
+    ]
+    fault = _first_value_fault(schema, arrays, undeclared)
+    if fault:
+        raise DataValidationError(f"{path}: {fault}")
     try:
-        return Dataset.from_records(schema, rows, labels)
+        return Dataset(
+            schema,
+            dict(zip(schema.feature_names, arrays)),
+            arrays[-1] if has_label else None,
+        )
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
+
+
+def _first_value_fault(
+    schema: FeatureSchema,
+    arrays: list[np.ndarray],
+    undeclared: list[tuple[int, str] | None],
+) -> str | None:
+    """The first value fault, row by row and in slot order within a row.
+
+    Slots are the schema features, then the label if there is one.
+    ``undeclared`` holds, per text slot, the first row whose text is not a
+    declared value and that text.
+    """
+    faults: list[tuple[int, int, str]] = []  # (row, slot, message)
+    for k, feat in enumerate(schema.features):
+        if isinstance(feat, ContinuousFeature):
+            values = arrays[k]
+            bad = np.flatnonzero(~((values >= feat.lower) & (values <= feat.upper)))
+            if bad.size:
+                value = float(values[bad[0]])
+                faults.append((int(bad[0]), k, (
+                    f"feature {feat.name!r}: value is not finite"
+                    if not math.isfinite(value) else
+                    f"feature {feat.name!r}: value {value!r} outside "
+                    f"bounds [{feat.lower}, {feat.upper}]"
+                )))
+        elif undeclared[k] is not None:
+            row, text = undeclared[k]
+            faults.append((row, k, f"feature {feat.name!r}: value {text!r} "
+                                   f"not in declared values"))
+    if len(undeclared) > len(schema.features) and undeclared[-1] is not None:
+        row, text = undeclared[-1]
+        faults.append((row, len(undeclared) - 1, f"label {text!r} not in class labels"))
+    if not faults:
+        return None
+    row, _, message = min(faults)
+    return f"row {row + 1}: {message}"
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# a CSV column: float values, or integer codes with the strings they index
+CsvColumn = tuple[np.ndarray, Sequence[str] | None]
+
+
+def csv_table(data: Dataset) -> tuple[list[str], list[CsvColumn]]:
+    """Header and columns of a dataset's CSV form: the features, then the label."""
+    schema = data.schema
+    header = list(schema.feature_names)
+    columns: list[CsvColumn] = [
+        (data.column(f.name),
+         None if isinstance(f, ContinuousFeature) else f.values)
+        for f in schema.features
+    ]
+    if data.has_labels:
+        header.append(schema.label_column)
+        columns.append((data.label_codes, schema.class_labels))
+    return header, columns
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[CsvColumn]) -> None:
+    """Write columns as CSV with the bytes ``csv.writer`` gives row by row.
+
+    Float cells are ``float.__repr__``, which is what ``csv.writer`` writes.
+    Each distinct string is quoted once by the csv module itself. Rows go
+    out a block at a time, joined with "," and "\\r\\n".
+    """
+    lone = len(header) == 1
+    tables = [
+        None if names is None else [_csv_field(name, lone) for name in names]
+        for _, names in columns
+    ]
+    n = len(columns[0][0])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(_csv_field(name, lone) for name in header) + "\r\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = [
+                map(float.__repr__ if table is None else table.__getitem__,
+                    values[start:start + _BLOCK_ROWS].tolist())
+                for (values, _), table in zip(columns, tables)
+            ]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_field(text: str, lone: bool) -> str:
+    """``text`` as a ``csv.writer`` field; ``lone`` when it is the whole row.
+
+    The distinction matters for the empty string alone: ``csv.writer``
+    quotes a row of one empty field so it does not read back as no field.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text] if lone else [text, ""])
+    return buffer.getvalue()[:-2 if lone else -3]
 
 
 def save_dataset(data: Dataset, path: str) -> None:
@@ -452,18 +531,7 @@ def save_dataset(data: Dataset, path: str) -> None:
     Continuous cells use python's shortest round-trip float formatting, so
     a save/load cycle reproduces the dataset exactly.
     """
-    schema = data.schema
-    header = list(schema.feature_names)
-    if data.has_labels:
-        header.append(schema.label_column)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for record in data.records():
-            cells = [record.values[name] for name in schema.feature_names]
-            if data.has_labels:
-                cells.append(record.label)
-            writer.writerow(cells)
+    write_csv(path, *csv_table(data))
 
 
 @dataclass(frozen=True)

@@ -18,27 +18,34 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Literal
 
 import numpy as np
 
 from .budget import BudgetLedger
-from .data import Dataset, FeatureSchema, Record, partition_disjoint
+from .data import Dataset, FeatureSchema, Record, partition_disjoint, read_json
 from .errors import DataValidationError, InternalInvariantError
 from .mechanism import QueryDiagnostics, majority_label_query
 from .tree import (
     TreeNode,
     build_tree,
+    iter_leaves,
     leaf_assignments,
+    max_leaves,
     node_from_dict,
     node_to_dict,
     optimal_depth,
     route_record,
+    write_node_json,
 )
 
 FORMAT_VERSION = 1
+
+# most leaves a forest may be drawn with; admits every synthetic preset at
+# its derived depth with the default 100 trees (SynthG: 100 * 2**15)
+MAX_FOREST_LEAVES = 2**22
 
 SensitivityMode = Literal["smooth", "global"]
 BudgetMode = Literal["disjoint", "split"]
@@ -153,6 +160,7 @@ def build_forest(
         if config.depth_override is not None
         else optimal_depth(schema.num_continuous, schema.num_discrete)
     )
+    _check_leaf_count(schema, depth, config.tau)
     if ledger is None:
         ledger = BudgetLedger(config.epsilon)
 
@@ -254,11 +262,29 @@ def predict_batch(model: ForestModel, data: Dataset) -> np.ndarray:
     return np.argmax(vote_matrix(model, data), axis=1)
 
 
-def model_to_dict(model: ForestModel) -> dict:
+def _check_leaf_count(schema: FeatureSchema, depth: int, tau: int) -> None:
+    # Past 64 binary levels a schema with a continuous feature is far over
+    # the cap, so the rest of the count is stated as a power of two rather
+    # than built as an integer that may have billions of digits.
+    limit = schema.num_discrete + 64
+    extra = depth - limit if schema.num_continuous and depth > limit else 0
+    leaves = tau * max_leaves(schema, depth - extra)
+    if leaves <= MAX_FOREST_LEAVES:
+        return
+    count = f"{leaves} * 2^{extra}" if extra else str(leaves)
+    raise ValueError(f"{tau} trees of depth {depth} may have up to {count} leaves, "
+                     f"over the limit of {MAX_FOREST_LEAVES}")
+
+
+def _check_labelled(model: ForestModel) -> None:
     for tree in model.trees:
-        for node in _walk(tree):
-            if hasattr(node, "label") and node.label is None:
+        for leaf in iter_leaves(tree):
+            if leaf.label is None:
                 raise InternalInvariantError("refusing to serialize unlabeled leaves")
+
+
+def model_to_dict(model: ForestModel) -> dict:
+    _check_labelled(model)
     return {
         "format_version": FORMAT_VERSION,
         "schema": model.schema.to_dict(),
@@ -274,23 +300,23 @@ def model_to_dict(model: ForestModel) -> dict:
     }
 
 
-def _walk(node: TreeNode):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if hasattr(current, "below"):
-            stack.append(current.below)
-            stack.append(current.at_or_above)
-        elif hasattr(current, "children"):
-            stack.extend(current.children.values())
-
-
 def save_model(model: ForestModel, path: str) -> None:
-    """Write the model as JSON. Output bytes are a pure function of the model."""
+    """Write the model as JSON. Output bytes are a pure function of the model.
+
+    The bytes are those of ``json.dumps(model_to_dict(model), indent=2)``
+    plus a newline, written one tree at a time so the whole document never
+    exists as one dict or one string.
+    """
+    _check_labelled(model)
+    head = json.dumps(model_to_dict(replace(model, trees=())), indent=2)
+    head = head[:-len("[]\n}")]  # the empty trees list closes the document
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, indent=2)
-        handle.write("\n")
+        handle.write(head + "[")
+        for i, tree in enumerate(model.trees):
+            text = [",\n    " if i else "\n    "]
+            write_node_json(tree, 2, text)
+            handle.write("".join(text))
+        handle.write("\n  ]\n}\n" if model.trees else "]\n}\n")
 
 
 def model_from_dict(obj: dict) -> ForestModel:
@@ -315,14 +341,6 @@ def model_from_dict(obj: dict) -> ForestModel:
         seed = raw_config["seed"]
     except KeyError as missing:
         raise DataValidationError(f"model config is missing key {missing}") from None
-    raw_trees = obj.get("trees")
-    if not isinstance(raw_trees, list) or not raw_trees:
-        raise DataValidationError("model 'trees' must be a non-empty list")
-    if len(raw_trees) != tau:
-        raise DataValidationError(
-            f"model declares tau={tau} but contains {len(raw_trees)} trees"
-        )
-    trees = tuple(node_from_dict(raw, schema) for raw in raw_trees)
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise DataValidationError("model depth must be a positive integer")
     if sensitivity_mode not in ("smooth", "global"):
@@ -333,6 +351,14 @@ def model_from_dict(obj: dict) -> ForestModel:
         raise DataValidationError("model epsilon must be a positive number")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise DataValidationError("model seed must be an integer")
+    raw_trees = obj.get("trees")
+    if not isinstance(raw_trees, list) or not raw_trees:
+        raise DataValidationError("model 'trees' must be a non-empty list")
+    if len(raw_trees) != tau:
+        raise DataValidationError(
+            f"model declares tau={tau} but contains {len(raw_trees)} trees"
+        )
+    trees = tuple(node_from_dict(raw, schema, depth) for raw in raw_trees)
     return ForestModel(
         schema=schema,
         trees=trees,
@@ -346,9 +372,4 @@ def model_from_dict(obj: dict) -> ForestModel:
 
 
 def load_model(path: str) -> ForestModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(obj)
+    return model_from_dict(read_json(path))

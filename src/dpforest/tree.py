@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 import numpy as np
@@ -78,6 +79,22 @@ def optimal_depth(num_continuous: int, num_discrete: int) -> int:
             d += 1
         continuous_part = d + 1
     return continuous_part + (num_discrete + 1) // 2
+
+
+def max_leaves(schema: FeatureSchema, depth: int) -> int:
+    """Most leaves a tree of at most ``depth`` tests per path can have.
+
+    A path tests each discrete feature at most once and continuous features
+    any number of times, so the widest tree spends its first levels on the
+    discrete features with the most values and the rest on binary
+    continuous splits.
+    """
+    arities = sorted((len(f.values) for f in schema.discrete_features()),
+                     reverse=True)[:depth]
+    leaves = math.prod(arities)
+    if schema.num_continuous:
+        leaves *= 2 ** (depth - len(arities))
+    return leaves
 
 
 def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> TreeNode:
@@ -205,11 +222,47 @@ def node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def node_from_dict(obj, schema: FeatureSchema) -> TreeNode:
-    """Rebuild a tree from its serialized form, validating against the schema."""
+def write_node_json(node: TreeNode, level: int, out: list[str]) -> None:
+    """Append the text ``json.dumps(node_to_dict(node), indent=2)`` gives.
+
+    ``level`` is the node's nesting level in the enclosing document, which
+    sets the indentation. Every leaf must be labelled.
+    """
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "}"
+    if isinstance(node, Leaf):
+        out.append(f'{{{pad}"kind": "leaf",{pad}"label": '
+                   f'{encode_basestring_ascii(node.label)}{close}')
+    elif isinstance(node, ContinuousSplit):
+        out.append(f'{{{pad}"kind": "split_cont",{pad}"feature": '
+                   f'{encode_basestring_ascii(node.feature)},{pad}"split": '
+                   f'{float.__repr__(node.split)},{pad}"below": ')
+        write_node_json(node.below, level + 1, out)
+        out.append(f',{pad}"at_or_above": ')
+        write_node_json(node.at_or_above, level + 1, out)
+        out.append(close)
+    else:
+        out.append(f'{{{pad}"kind": "split_disc",{pad}"feature": '
+                   f'{encode_basestring_ascii(node.feature)},{pad}"children": {{')
+        inner = pad + "  "
+        for i, (value, child) in enumerate(node.children.items()):
+            out.append(f'{"," if i else ""}{inner}{encode_basestring_ascii(value)}: ')
+            write_node_json(child, level + 2, out)
+        out.append(pad + "}" + close)
+
+
+def node_from_dict(obj, schema: FeatureSchema, depth: int) -> TreeNode:
+    """Rebuild a tree from its serialized form, validating against the schema.
+
+    A tree with more than ``depth`` tests on a path is rejected.
+    """
     if not isinstance(obj, dict):
         raise DataValidationError("tree node must be a JSON object")
     kind = obj.get("kind")
+    if kind in ("split_cont", "split_disc"):
+        if depth < 1:
+            raise DataValidationError("tree is nested deeper than the model depth")
+        depth -= 1
     if kind == "leaf":
         label = obj.get("label")
         if label not in schema.class_labels:
@@ -228,8 +281,8 @@ def node_from_dict(obj, schema: FeatureSchema) -> TreeNode:
         return ContinuousSplit(
             feature=feature,
             split=float(split),
-            below=node_from_dict(obj.get("below"), schema),
-            at_or_above=node_from_dict(obj.get("at_or_above"), schema),
+            below=node_from_dict(obj.get("below"), schema, depth),
+            at_or_above=node_from_dict(obj.get("at_or_above"), schema, depth),
         )
     if kind == "split_disc":
         feature = obj.get("feature")
@@ -243,7 +296,7 @@ def node_from_dict(obj, schema: FeatureSchema) -> TreeNode:
             )
         return DiscreteSplit(
             feature=feature,
-            children={v: node_from_dict(children[v], schema) for v in spec.values},
+            children={v: node_from_dict(children[v], schema, depth) for v in spec.values},
         )
     raise DataValidationError(f"unknown tree node kind {kind!r}")
 

@@ -184,3 +184,86 @@ def test_data_errors_from_bad_model_file(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "format version" in capsys.readouterr().err
+
+
+def test_deeply_nested_model_file_exits_two(workspace, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--trees", "2", "--seed", "3", "--out", str(model_path),
+    ]) == 0
+    document = json.loads(model_path.read_text(encoding="utf-8"))
+    leaf = '{"kind": "leaf", "label": "c0"}'
+    levels = 3000
+    chain = ('{"kind": "split_cont", "feature": "f0", "split": 0.0, "below": ' * levels
+             + leaf + f', "at_or_above": {leaf}}}' * levels)
+    text = json.dumps(dict(document, trees=[]))
+    deep = tmp_path / "deep.json"
+    deep.write_text(text.replace('"trees": []', f'"trees": [{chain}, {leaf}]'),
+                    encoding="utf-8")
+    argv = ["predict", "--model", str(deep), "--data", str(workspace["data"]),
+            "--out", str(tmp_path / "o.csv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+    # nested deeper than the declared depth, yet shallow enough to decode
+    depth = document["config"]["depth"]
+    chain = ('{"kind": "split_cont", "feature": "f0", "split": 0.0, "below": '
+             * (depth + 1) + leaf + f', "at_or_above": {leaf}}}' * (depth + 1))
+    deep.write_text(text.replace('"trees": []', f'"trees": [{chain}, {leaf}]'),
+                    encoding="utf-8")
+    assert main(argv) == 2
+    assert "deeper than the model depth" in capsys.readouterr().err
+
+
+def test_deeply_nested_schema_file_exits_two(workspace, tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    assert main(["train", "--data", str(workspace["data"]), "--schema", str(schema),
+                 "--epsilon", "1.0", "--out", str(tmp_path / "m.json")]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,depth,count", [
+    ("train", 40, f"{100 * 2**40}"),
+    ("eval", 40, f"{100 * 2**40}"),
+    ("train", 100000, f"{100 * 2**64} * 2^{100000 - 64}"),
+])
+def test_depth_over_the_leaf_cap_exits_one_before_any_tree(
+        workspace, tmp_path, capsys, monkeypatch, command, depth, count):
+    import dpforest.forest
+
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a tree was drawn")
+
+    monkeypatch.setattr(dpforest.forest, "build_tree", no_trees)
+    out = ["--out", str(tmp_path / "m.json")] if command == "train" else [
+        "--report", str(tmp_path / "r.json"), "--folds", "2", "--repeats", "1"]
+    code = main([
+        command, "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--trees", "100", "--depth", str(depth), *out,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"up to {count} leaves" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_model_declaring_a_huge_depth_still_predicts(workspace, tmp_path):
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--trees", "2", "--seed", "3", "--out", str(model_path),
+    ]) == 0
+    document = json.loads(model_path.read_text(encoding="utf-8"))
+    document["config"]["depth"] = 10**9
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(document), encoding="utf-8")
+    outputs = []
+    for path in (model_path, huge):
+        out = tmp_path / f"{path.stem}.csv"
+        assert main(["predict", "--model", str(path), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

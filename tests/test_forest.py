@@ -285,3 +285,48 @@ def test_tau_equal_to_n_trains(small_data):
     config = TrainConfig(epsilon=1.0, tau=12, depth_override=2, seed=0)
     model = build_forest(tiny, config)
     assert len(model.trees) == 12
+
+
+def test_leaf_cap_admits_the_largest_shapes_in_use():
+    from dpforest.forest import MAX_FOREST_LEAVES, _check_leaf_count
+    from dpforest.synth import PRESETS, get_preset
+    from dpforest.tree import max_leaves, optimal_depth
+
+    # every preset at its derived depth with the default 100 trees
+    for preset in PRESETS.values():
+        data = generate(preset.informative, preset.random, 4, np.random.default_rng(0))
+        depth = optimal_depth(data.schema.num_continuous, data.schema.num_discrete)
+        _check_leaf_count(data.schema, depth, 100)
+    synthc = generate(get_preset("SynthC").informative, 0, 40, np.random.default_rng(0))
+    # criterion 9: 30 trees at depth 12 on SynthC
+    assert 30 * max_leaves(synthc.schema, 12) == 30 * 4096 <= MAX_FOREST_LEAVES
+    with pytest.raises(ValueError, match=f"{30 * 2**40} leaves"):
+        build_forest(synthc, TrainConfig(epsilon=1.0, tau=30, depth_override=40, seed=0))
+
+
+def test_leaf_cap_states_the_count_of_a_huge_depth_as_a_power():
+    from dpforest.forest import _check_leaf_count
+
+    schema = FeatureSchema(
+        features=(ContinuousFeature("a", 0.0, 1.0),), class_labels=("x", "y"))
+    # the exact count, 2^(10^12) per tree, would not fit in memory
+    with pytest.raises(ValueError, match=rf"up to {2 * 2**64} \* 2\^{10**12 - 64} leaves"):
+        _check_leaf_count(schema, 10**12, 2)
+
+
+def test_model_loader_checks_depth(small_data):
+    model = build_forest(small_data, TrainConfig(epsilon=1.0, tau=2, seed=0))
+    document = model_to_dict(model)
+    shallow = json.loads(json.dumps(document))
+    shallow["config"]["depth"] = 1
+    with pytest.raises(DataValidationError, match="deeper than the model depth"):
+        model_from_dict(shallow)
+    # a declared depth far past the leaf cap loads: the trees are in the file
+    deep = json.loads(json.dumps(document))
+    deep["config"]["depth"] = 10**12
+    assert model_from_dict(deep).trees == model.trees
+    bad_depth = json.loads(json.dumps(document))
+    bad_depth["config"]["depth"] = "deep"
+    bad_depth["trees"] = [{"kind": "mystery"}] * 2
+    with pytest.raises(DataValidationError, match="depth must be a positive integer"):
+        model_from_dict(bad_depth)

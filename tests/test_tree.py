@@ -11,6 +11,7 @@ from dpforest.tree import (
     expected_untested,
     iter_leaves,
     leaf_assignments,
+    max_leaves,
     node_from_dict,
     node_to_dict,
     optimal_depth,
@@ -198,32 +199,73 @@ def test_serialization_round_trip(mixed_schema):
     for i, leaf in enumerate(iter_leaves(tree)):
         leaf.label = mixed_schema.class_labels[i % 2]
     blob = node_to_dict(tree)
-    rebuilt = node_from_dict(blob, mixed_schema)
+    rebuilt = node_from_dict(blob, mixed_schema, 4)
     assert node_to_dict(rebuilt) == blob
 
 
 def test_deserialization_validates(mixed_schema):
     with pytest.raises(DataValidationError):
-        node_from_dict({"kind": "mystery"}, mixed_schema)
+        node_from_dict({"kind": "mystery"}, mixed_schema, 1)
     with pytest.raises(DataValidationError):
-        node_from_dict({"kind": "leaf", "label": None}, mixed_schema)
+        node_from_dict({"kind": "leaf", "label": None}, mixed_schema, 1)
     with pytest.raises(DataValidationError):
-        node_from_dict({"kind": "leaf", "label": "unknown"}, mixed_schema)
+        node_from_dict({"kind": "leaf", "label": "unknown"}, mixed_schema, 1)
     with pytest.raises(DataValidationError):
         node_from_dict(
             {"kind": "split_cont", "feature": "color", "split": 1.0,
              "below": {"kind": "leaf", "label": "no"},
              "at_or_above": {"kind": "leaf", "label": "no"}},
-            mixed_schema,
+            mixed_schema, 1,
         )
     with pytest.raises(DataValidationError):
         node_from_dict(
             {"kind": "split_disc", "feature": "color",
              "children": {"red": {"kind": "leaf", "label": "no"}}},
-            mixed_schema,
+            mixed_schema, 1,
         )
 
 
 def test_build_tree_validation(mixed_schema):
     with pytest.raises(ValueError):
         build_tree(mixed_schema, 0, np.random.default_rng(0))
+
+
+def test_max_leaves_takes_the_widest_levels_first(mixed_schema):
+    continuous = FeatureSchema(
+        features=(ContinuousFeature("a", 0.0, 1.0), ContinuousFeature("b", 0.0, 1.0)),
+        class_labels=("x", "y"),
+    )
+    assert max_leaves(continuous, 1) == 2
+    assert max_leaves(continuous, 12) == 4096
+    assert max_leaves(continuous, 40) == 2**40
+    # mixed_schema: color has 3 values, then binary continuous splits
+    assert max_leaves(mixed_schema, 1) == 3
+    assert max_leaves(mixed_schema, 4) == 3 * 2**3
+    discrete = FeatureSchema(
+        features=(DiscreteFeature("p", ("a", "b")), DiscreteFeature("q", ("a", "b", "c", "d"))),
+        class_labels=("x", "y"),
+    )
+    assert max_leaves(discrete, 1) == 4
+    assert max_leaves(discrete, 2) == 8
+    assert max_leaves(discrete, 50) == 8  # paths end once every feature is used
+
+
+def test_max_leaves_bounds_drawn_trees(mixed_schema):
+    for seed in range(20):
+        depth = 1 + seed % 6
+        tree = build_tree(mixed_schema, depth, np.random.default_rng(seed))
+        assert sum(1 for _ in iter_leaves(tree)) <= max_leaves(mixed_schema, depth)
+
+
+def test_deserialization_enforces_depth(mixed_schema):
+    leaf = {"kind": "leaf", "label": "no"}
+    one = {"kind": "split_cont", "feature": "age", "split": 1.0,
+           "below": leaf, "at_or_above": leaf}
+    two = {"kind": "split_disc", "feature": "color",
+           "children": {"red": one, "green": leaf, "blue": leaf}}
+    assert node_from_dict(leaf, mixed_schema, 0) == Leaf("no")
+    node_from_dict(two, mixed_schema, 2)
+    with pytest.raises(DataValidationError, match="deeper"):
+        node_from_dict(two, mixed_schema, 1)
+    with pytest.raises(DataValidationError, match="deeper"):
+        node_from_dict(one, mixed_schema, 0)
