@@ -21,9 +21,15 @@ from .data import (
     save_dataset,
     save_schema,
     write_csv,
+    write_json,
 )
 from .errors import DataValidationError, InternalInvariantError
-from .evaluation import collect_diagnostics, cross_validate, report_to_dict
+from .evaluation import (
+    collect_diagnostics,
+    cross_validate,
+    diagnostics_to_dict,
+    report_to_dict,
+)
 from .forest import TrainConfig, build_forest, load_model, predict_batch, save_model
 from .mechanism import neighbor_ratio_audit
 from .synth import PRESETS, generate, generate_preset
@@ -53,9 +59,7 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
         "outputs": outputs + [path],
         "duration_seconds": round(time.monotonic() - started, 6),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -84,6 +88,8 @@ def _cmd_depth(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
+    if args.threads < 0:
+        raise _UsageError("threads must be non-negative")
     return TrainConfig(
         epsilon=args.epsilon,
         tau=args.trees,
@@ -105,26 +111,11 @@ def _cmd_train(args) -> int:
         config,
         ledger,
         collect_diagnostics=args.diagnostics is not None,
-        threads=args.threads,
     )
     save_model(model, args.out)
     outputs = [args.out]
     if args.diagnostics is not None:
-        report = collect_diagnostics(model)
-        with open(args.diagnostics, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "empty_leaf_fraction": {
-                        "mean": report.empty_leaf_fraction_mean,
-                        "std": report.empty_leaf_fraction_std,
-                    },
-                    "flip_fraction": report.flip_fraction,
-                    "mean_smooth_sensitivity": report.mean_smooth_sensitivity,
-                },
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
+        write_json(args.diagnostics, diagnostics_to_dict(collect_diagnostics(model)))
         outputs.append(args.diagnostics)
     _write_manifest("train", args, outputs, started)
     print(
@@ -162,12 +153,9 @@ def _cmd_eval(args) -> int:
         config,
         folds=args.folds,
         repeats=args.repeats,
-        threads=args.threads,
     )
     report = report_to_dict(config, args.folds, args.repeats, metrics, diagnostics)
-    with open(args.report, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    write_json(args.report, report)
     _write_manifest("eval", args, [args.report], started)
     print(
         f"accuracy {metrics.accuracy.mean:.4f} +/- {metrics.accuracy.std:.4f} "
@@ -202,9 +190,7 @@ def _cmd_audit(args) -> int:
     )
     document = report.to_dict()
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        write_json(args.report, document)
         _write_manifest("audit", args, [args.report], started)
     else:
         print(json.dumps(document, indent=2))
@@ -233,7 +219,8 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                              "data at budget/trees")
     parser.add_argument("--seed", type=int, default=0, help="training seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads, 0 for one per cpu")
+                        help="accepted for compatibility and ignored; "
+                             "training runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,10 +285,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
+        # a path that cannot be opened is a bad argument value
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataValidationError as exc:

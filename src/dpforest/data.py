@@ -14,8 +14,9 @@ import io
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -185,9 +186,26 @@ def _feature_from_dict(raw) -> FeatureSpec:
     raise DataValidationError(f"feature {name!r}: unknown kind {kind!r}")
 
 
+@contextmanager
+def _read_utf8(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a text file for reading; bytes that are not UTF-8 are a data error."""
+    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(
+                f"{path}: not valid UTF-8 ({exc.reason}, "
+                f"byte 0x{exc.object[exc.start]:02x})"
+            ) from None
+
+
 def read_json(path: str):
-    """Parse a JSON file; malformed or too deeply nested text is a data error."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse a JSON file.
+
+    Bytes that are not UTF-8, malformed JSON and JSON nested too deeply are
+    data errors.
+    """
+    with _read_utf8(path) as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as exc:
@@ -196,15 +214,20 @@ def read_json(path: str):
             raise DataValidationError(f"{path}: JSON nested too deeply") from None
 
 
+def write_json(path: str, document) -> None:
+    """Write ``document`` as JSON indented by two spaces, plus a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+
+
 def load_schema(path: str) -> FeatureSchema:
     """Read a schema from a JSON file."""
     return FeatureSchema.from_dict(read_json(path))
 
 
 def save_schema(schema: FeatureSchema, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(schema.to_dict(), handle, indent=2)
-        handle.write("\n")
+    write_json(path, schema.to_dict())
 
 
 @dataclass(frozen=True)
@@ -333,7 +356,7 @@ def load_dataset(path: str, schema: FeatureSchema, *, require_label: bool = True
     row order first, then value faults row by row, in schema order within
     a row and the label last. Row numbers are 1-based.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _read_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -13,12 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, partition_disjoint
 from .forest import (
     ForestModel,
     TrainConfig,
     build_forest,
-    predict_batch,
     vote_matrix,
 )
 from .mechanism import QueryDiagnostics
@@ -171,32 +170,18 @@ def collect_diagnostics(model: ForestModel) -> DiagnosticsReport:
     return summarize_leaf_diagnostics(model.diagnostics.per_tree)
 
 
-def _fold_blocks(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n)
-    base, extra = divmod(n, folds)
-    blocks = []
-    start = 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        blocks.append(perm[start:start + size])
-        start += size
-    return blocks
-
-
 def cross_validate(
     data: Dataset,
     config: TrainConfig,
     *,
     folds: int = 10,
     repeats: int = 10,
-    seed: int | None = None,
-    threads: int = 1,
 ) -> tuple[MetricsReport, DiagnosticsReport]:
     """Repeated k-fold cross-validation without stratification.
 
-    Every repeat reshuffles, cuts the data into near-equal folds, and
-    trains one forest per held-out fold with a fresh seed derived from the
-    master seed (``seed`` if given, else ``config.seed``). Binary tasks
+    Every repeat reshuffles, cuts the data into near-equal folds with
+    ``partition_disjoint``, and trains one forest per held-out fold with a
+    fresh seed derived from ``config.seed``. Binary tasks
     additionally report AUC and F1 for the least frequent class of each
     test fold; multiclass tasks report accuracy only.
     """
@@ -210,7 +195,7 @@ def cross_validate(
     class_labels = data.schema.class_labels
     binary = len(class_labels) == 2
 
-    master = np.random.SeedSequence(config.seed if seed is None else seed)
+    master = np.random.SeedSequence(config.seed)
     accuracy_samples: list[float] = []
     auc_samples: list[float] = []
     f1_samples: list[float] = []
@@ -218,9 +203,9 @@ def cross_validate(
 
     for repeat_seq in master.spawn(repeats):
         shuffle_seq, *cell_seqs = repeat_seq.spawn(folds + 1)
-        blocks = _fold_blocks(n, folds, np.random.default_rng(shuffle_seq))
+        partition = partition_disjoint(data, folds, np.random.default_rng(shuffle_seq))
+        blocks = partition.indices
         for fold_index in range(folds):
-            test_idx = blocks[fold_index]
             train_idx = np.concatenate(
                 [blocks[i] for i in range(folds) if i != fold_index]
             )
@@ -230,17 +215,18 @@ def cross_validate(
                 data.subset(train_idx),
                 cell_config,
                 collect_diagnostics=True,
-                threads=threads,
             )
-            test = data.subset(test_idx)
+            test = partition.subsets[fold_index]
             truth_codes = test.label_codes
-            predicted_codes = predict_batch(model, test)
+            votes = vote_matrix(model, test)
+            # argmax takes the first maximum, which is the schema-order tie break
+            predicted_codes = np.argmax(votes, axis=1)
             accuracy_samples.append(float(np.mean(predicted_codes == truth_codes)))
             if binary:
                 truth = [class_labels[c] for c in truth_codes]
                 positive = least_frequent_label(truth, order=class_labels)
                 positive_code = class_labels.index(positive)
-                scores = vote_matrix(model, test)[:, positive_code] / model.tau
+                scores = votes[:, positive_code] / model.tau
                 auc_samples.append(auc(scores, truth, positive))
                 predictions = [class_labels[c] for c in predicted_codes]
                 f1_samples.append(f1(predictions, truth, positive))
@@ -288,12 +274,17 @@ def report_to_dict(
             "auc": metric(metrics.auc),
             "f1": metric(metrics.f1),
         },
-        "diagnostics": {
-            "empty_leaf_fraction": {
-                "mean": diagnostics.empty_leaf_fraction_mean,
-                "std": diagnostics.empty_leaf_fraction_std,
-            },
-            "flip_fraction": diagnostics.flip_fraction,
-            "mean_smooth_sensitivity": diagnostics.mean_smooth_sensitivity,
+        "diagnostics": diagnostics_to_dict(diagnostics),
+    }
+
+
+def diagnostics_to_dict(diagnostics: DiagnosticsReport) -> dict:
+    """The leaf diagnostics in the JSON shape of reports and ``--diagnostics``."""
+    return {
+        "empty_leaf_fraction": {
+            "mean": diagnostics.empty_leaf_fraction_mean,
+            "std": diagnostics.empty_leaf_fraction_std,
         },
+        "flip_fraction": diagnostics.flip_fraction,
+        "mean_smooth_sensitivity": diagnostics.mean_smooth_sensitivity,
     }

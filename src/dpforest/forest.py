@@ -16,8 +16,6 @@ diagnostic; those live only on the in-memory model and die with it.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Literal
@@ -132,14 +130,13 @@ def build_forest(
     ledger: BudgetLedger | None = None,
     *,
     collect_diagnostics: bool = False,
-    threads: int = 1,
 ) -> ForestModel:
     """Train a forest of ``config.tau`` trees.
 
     All randomness flows from ``config.seed`` through one seed sequence:
     one child stream for the partition, one per tree. Trees are therefore
-    independent of thread count and of each other, and a rerun with the
-    same config reproduces the model bit for bit.
+    independent of each other, and a rerun with the same config reproduces
+    the model bit for bit.
 
     A ledger may be passed in to be inspected afterwards; otherwise an
     internal one guards the run. Either way the composed privacy cost must
@@ -150,9 +147,6 @@ def build_forest(
     n = len(data)
     if config.tau > n:
         raise ValueError(f"tau={config.tau} exceeds the {n} available records")
-    if threads < 0:
-        raise ValueError("threads must be non-negative")
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
 
     schema = data.schema
     depth = (
@@ -177,24 +171,18 @@ def build_forest(
         subsets = (data,) * config.tau
         epsilon_per_query = config.epsilon / config.tau
 
-    def build_one(index: int) -> tuple[TreeNode, tuple[QueryDiagnostics, ...]]:
-        rng = np.random.default_rng(tree_seqs[index])
+    results = []
+    for tree_seq, subset in zip(tree_seqs, subsets):
+        rng = np.random.default_rng(tree_seq)
         tree = build_tree(schema, depth, rng)
-        return fill_leaf_labels(
+        results.append(fill_leaf_labels(
             tree,
-            subsets[index],
+            subset,
             epsilon_per_query,
             rng,
             sensitivity_mode=config.sensitivity_mode,
-        )
+        ))
 
-    if workers == 1:
-        results = [build_one(i) for i in range(config.tau)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(build_one, range(config.tau)))
-
-    # spends are recorded after the parallel section, single threaded
     epsilon_exact = Fraction(config.epsilon)
     if config.budget_mode == "disjoint":
         for i in range(config.tau):

@@ -89,21 +89,17 @@ def log_smooth_sensitivity(gap: int, epsilon: float) -> float:
     return -float(gap) * epsilon
 
 
-def score_labels(counts: Mapping[str, int], mode: str = "most") -> dict[str, float]:
+def score_labels(counts: Mapping[str, int]) -> dict[str, float]:
     """Score every label 0 or 1.
 
-    Mode "most" gives 1 to the labels tied for the largest count, mode
-    "least" to the labels tied for the smallest. When no records are
+    The labels tied for the largest count score 1. When no records are
     present every score is zero and selection degenerates to uniform.
     """
     _check_counts(counts)
-    if mode not in ("most", "least"):
-        raise ValueError(f"unknown scoring mode {mode!r}")
-    values = list(counts.values())
-    if max(values) == 0:
+    top = max(counts.values())
+    if top == 0:
         return {label: 0.0 for label in counts}
-    target = max(values) if mode == "most" else min(values)
-    return {label: 1.0 if count == target else 0.0 for label, count in counts.items()}
+    return {label: 1.0 if count == top else 0.0 for label, count in counts.items()}
 
 
 def _log_weights(
@@ -234,19 +230,13 @@ class QueryDiagnostics:
 
 
 def _query_parameters(
-    counts: Mapping[str, int], epsilon: float, mode: str, sensitivity_mode: str
+    counts: Mapping[str, int], epsilon: float, sensitivity_mode: str
 ) -> tuple[dict[str, float], float | None, float | None, int]:
     """Scores plus sensitivity arguments for one majority query."""
     if sensitivity_mode not in ("smooth", "global"):
         raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
-    scores = score_labels(counts, mode)
-    if mode == "most":
-        gap = label_gap(counts)
-    else:
-        # the least-frequent query on K is the most-frequent query on
-        # max(K) - K, and its margin is the gap of the reflected counts
-        ceiling = max(counts.values())
-        gap = label_gap({label: ceiling - count for label, count in counts.items()})
+    scores = score_labels(counts)
+    gap = label_gap(counts)
     if sensitivity_mode == "smooth":
         return scores, None, log_smooth_sensitivity(gap, epsilon), gap
     return scores, GLOBAL_SENSITIVITY, None, gap
@@ -257,7 +247,6 @@ def majority_label_query(
     epsilon: float,
     rng: np.random.Generator,
     *,
-    mode: str = "most",
     sensitivity_mode: str = "smooth",
 ) -> tuple[str, QueryDiagnostics]:
     """Release a noisy majority label for one leaf.
@@ -268,7 +257,7 @@ def majority_label_query(
     for offline analysis only.
     """
     scores, sensitivity, log_sens, gap = _query_parameters(
-        counts, epsilon, mode, sensitivity_mode
+        counts, epsilon, sensitivity_mode
     )
     label = exp_mechanism_select(
         scores, sensitivity, epsilon, rng, log_sensitivity=log_sens
@@ -310,10 +299,10 @@ class AuditReport:
 
 
 def _audit_log_distribution(
-    counts: Mapping[str, int], epsilon: float, mode: str, sensitivity_mode: str
+    counts: Mapping[str, int], epsilon: float, sensitivity_mode: str
 ) -> dict[str, float]:
     scores, sensitivity, log_sens, _ = _query_parameters(
-        counts, epsilon, mode, sensitivity_mode
+        counts, epsilon, sensitivity_mode
     )
     return exp_mechanism_log_distribution(
         scores, sensitivity, epsilon, log_sensitivity=log_sens
@@ -325,7 +314,6 @@ def neighbor_ratio_audit(
     epsilon: float,
     *,
     sensitivity_mode: str = "smooth",
-    mode: str = "most",
     max_total: int = 1000,
 ) -> AuditReport:
     """Measure output probability ratios against all one-record neighbours.
@@ -347,7 +335,7 @@ def neighbor_ratio_audit(
             "the audit enumerates neighbours exhaustively"
         )
 
-    base = _audit_log_distribution(counts, epsilon, mode, sensitivity_mode)
+    base = _audit_log_distribution(counts, epsilon, sensitivity_mode)
 
     neighbors = []
     for label in counts:
@@ -364,7 +352,7 @@ def neighbor_ratio_audit(
     max_ratio = 0.0
     worst = None
     for change, changed_label, neighbor_counts in neighbors:
-        other = _audit_log_distribution(neighbor_counts, epsilon, mode, sensitivity_mode)
+        other = _audit_log_distribution(neighbor_counts, epsilon, sensitivity_mode)
         for label in counts:
             a = base[label]
             b = other[label]

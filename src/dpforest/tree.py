@@ -169,17 +169,13 @@ def iter_leaves(root: TreeNode) -> Iterator[Leaf]:
             stack.extend(reversed(list(node.children.values())))
 
 
-def leaf_assignments(
-    root: TreeNode, data: Dataset, indices: np.ndarray | None = None
-) -> list[tuple[Leaf, np.ndarray]]:
+def leaf_assignments(root: TreeNode, data: Dataset) -> list[tuple[Leaf, np.ndarray]]:
     """Pair every leaf with the indices of the records routed to it.
 
     All leaves appear in construction order, empty ones with empty index
     arrays. Agrees with route_record on every record; the batch form just
     avoids walking the tree once per row.
     """
-    if indices is None:
-        indices = np.arange(len(data))
     value_codes = {
         f.name: {v: i for i, v in enumerate(f.values)}
         for f in data.schema.discrete_features()
@@ -199,7 +195,7 @@ def leaf_assignments(
         for value, child in node.children.items():
             visit(child, idx[codes == value_codes[node.feature][value]])
 
-    visit(root, indices)
+    visit(root, np.arange(len(data)))
     return out
 
 

@@ -110,7 +110,7 @@ def test_criterion_03_selection_frequencies_match_analytic():
     started = time.monotonic()
     counts = {"A": 12, "B": 9, "C": 3}
     epsilon = 0.5
-    scores = score_labels(counts, "most")
+    scores = score_labels(counts)
     draws = 100000
     worst = 0.0
     details = []

@@ -156,8 +156,59 @@ def test_usage_errors_exit_one(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "epsilon" in err
     assert main(["audit", "--counts", "A:x", "--epsilon", "1.0"]) == 1
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--threads", "-1", "--out", str(tmp_path / "m.json"),
+    ]) == 1
+    assert "threads" in capsys.readouterr().err
     assert main(["gen", "--out", "x.csv", "--schema-out", "y.json",
                  "--preset", "SynthA", "--informative", "3"]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--data", "--model"])
+def test_paths_that_cannot_be_opened_exit_one(workspace, tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing")
+    if flag == "--data":
+        argv = ["train", "--data", missing, "--schema", str(workspace["schema"]),
+                "--epsilon", "1.0", "--out", str(tmp_path / "m.json")]
+    else:
+        argv = ["predict", "--model", missing, "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert missing in err
+
+
+@pytest.mark.parametrize("kind", ["csv", "schema", "model"])
+def test_files_that_are_not_utf8_exit_two(workspace, tmp_path, capsys, kind):
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--trees", "2", "--out", str(model_path),
+    ]) == 0
+    source = {"csv": workspace["data"], "schema": workspace["schema"],
+              "model": model_path}[kind]
+    text = source.read_bytes()
+    bad = tmp_path / f"bad-{kind}"
+    # a stray 0xff byte inside the first label name, past the first line
+    at = text.index(b"c0", text.index(b"\n"))
+    bad.write_bytes(text[:at] + b"\xff" + text[at:])
+    if kind == "model":
+        argv = ["predict", "--model", str(bad), "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "o.csv")]
+    else:
+        data, schema = workspace["data"], workspace["schema"]
+        if kind == "csv":
+            data = bad
+        else:
+            schema = bad
+        argv = ["train", "--data", str(data), "--schema", str(schema),
+                "--epsilon", "1.0", "--trees", "2", "--out", str(tmp_path / "m.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: not valid UTF-8")
 
 
 def test_data_errors_exit_two(workspace, tmp_path, capsys):

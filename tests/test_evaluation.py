@@ -149,6 +149,63 @@ def test_cross_validate_shapes_and_determinism():
     assert again == metrics
 
 
+def _reference_fold_blocks(n, folds, rng):
+    """The fold cutter cross_validate used before it shared partition_disjoint."""
+    perm = rng.permutation(n)
+    base, extra = divmod(n, folds)
+    blocks = []
+    start = 0
+    for i in range(folds):
+        size = base + (1 if i < extra else 0)
+        blocks.append(perm[start:start + size])
+        start += size
+    return blocks
+
+
+def _same_records(a, b):
+    return all(np.array_equal(a.column(name), b.column(name))
+               for name in a.schema.feature_names) and np.array_equal(
+        a.label_codes, b.label_codes)
+
+
+@pytest.mark.parametrize("n,folds,seed", [(300, 3, 9), (302, 4, 0), (50, 3, 7),
+                                          (64, 5, 123)])
+def test_cross_validate_folds_match_the_reference_cutter(monkeypatch, n, folds, seed):
+    import dpforest.evaluation
+    import dpforest.forest
+
+    data = generate(3, 0, n, np.random.default_rng(seed))
+    config = TrainConfig(epsilon=1.0, tau=2, depth_override=2, seed=seed)
+    repeats = 2
+    trained, tested = [], []
+    build, vote = dpforest.evaluation.build_forest, dpforest.evaluation.vote_matrix
+
+    def spy_build(train, *args, **kwargs):
+        trained.append(train)
+        return build(train, *args, **kwargs)
+
+    def spy_vote(model, test):
+        tested.append(test)
+        return vote(model, test)
+
+    monkeypatch.setattr(dpforest.evaluation, "build_forest", spy_build)
+    for module in (dpforest.evaluation, dpforest.forest):
+        monkeypatch.setattr(module, "vote_matrix", spy_vote)
+    cross_validate(data, config, folds=folds, repeats=repeats)
+
+    # one vote pass per fold serves both the predictions and the AUC scores
+    assert len(tested) == len(trained) == folds * repeats
+    cell = 0
+    for repeat_seq in np.random.SeedSequence(seed).spawn(repeats):
+        shuffle_seq = repeat_seq.spawn(folds + 1)[0]
+        blocks = _reference_fold_blocks(n, folds, np.random.default_rng(shuffle_seq))
+        for i in range(folds):
+            train_idx = np.concatenate([blocks[j] for j in range(folds) if j != i])
+            assert _same_records(tested[cell], data.subset(blocks[i]))
+            assert _same_records(trained[cell], data.subset(train_idx))
+            cell += 1
+
+
 def test_cross_validate_multiclass_reports_accuracy_only():
     schema = FeatureSchema(
         features=(ContinuousFeature("f", -10.0, 10.0),),

@@ -55,14 +55,6 @@ def test_build_forest_is_reproducible(small_data, tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_thread_count_does_not_change_the_model(small_data, tmp_path):
-    config = TrainConfig(epsilon=1.0, tau=12, seed=3)
-    serial = build_forest(small_data, config, threads=1)
-    threaded = build_forest(small_data, config, threads=4)
-    auto = build_forest(small_data, config, threads=0)
-    assert model_to_dict(serial) == model_to_dict(threaded) == model_to_dict(auto)
-
-
 def test_seed_changes_the_model(small_data):
     base = TrainConfig(epsilon=1.0, tau=5, seed=0)
     other = TrainConfig(epsilon=1.0, tau=5, seed=1)
@@ -276,8 +268,6 @@ def test_build_forest_input_validation(small_data):
     )
     with pytest.raises(DataValidationError):
         build_forest(features_only, TrainConfig(epsilon=1.0, tau=2, seed=0))
-    with pytest.raises(ValueError):
-        build_forest(small_data, TrainConfig(epsilon=1.0, tau=2, seed=0), threads=-1)
 
 
 def test_tau_equal_to_n_trains(small_data):

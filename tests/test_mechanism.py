@@ -64,15 +64,11 @@ def test_smooth_sensitivity_validation():
         smooth_sensitivity(3, float("nan"))
 
 
-def test_score_labels_most_and_least():
+def test_score_labels_marks_the_largest_counts():
     counts = {"a": 4, "b": 7, "c": 7}
-    assert score_labels(counts, "most") == {"a": 0.0, "b": 1.0, "c": 1.0}
-    assert score_labels(counts, "least") == {"a": 1.0, "b": 0.0, "c": 0.0}
+    assert score_labels(counts) == {"a": 0.0, "b": 1.0, "c": 1.0}
     empty = {"a": 0, "b": 0}
-    assert score_labels(empty, "most") == {"a": 0.0, "b": 0.0}
-    assert score_labels(empty, "least") == {"a": 0.0, "b": 0.0}
-    with pytest.raises(ValueError):
-        score_labels(counts, "median")
+    assert score_labels(empty) == {"a": 0.0, "b": 0.0}
 
 
 def test_distribution_matches_high_precision_oracle():
@@ -195,19 +191,6 @@ def test_majority_query_on_empty_counts_is_uniform():
         assert not diag.flipped
     for label in counts:
         assert seen[label] / draws == pytest.approx(0.25, abs=0.02)
-
-
-def test_least_mode_equals_most_on_reflected_counts():
-    counts = {"a": 7, "b": 5, "c": 6}
-    reflected = {"a": 0, "b": 2, "c": 1}
-    rng = np.random.default_rng(0)
-    _, least_diag = majority_label_query(counts, 0.7, rng, mode="least")
-    _, most_diag = majority_label_query(reflected, 0.7, rng, mode="most")
-    assert least_diag.gap == most_diag.gap == 1
-    assert least_diag.preferred_labels == most_diag.preferred_labels == ("b",)
-    assert least_diag.smooth_sensitivity == most_diag.smooth_sensitivity
-    # analytic selection distributions coincide as well
-    assert score_labels(counts, "least") == score_labels(reflected, "most")
 
 
 def test_query_smooth_sensitivity_uses_the_query_epsilon():
