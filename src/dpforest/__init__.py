@@ -10,7 +10,6 @@ from .data import (
     ContinuousFeature,
     Dataset,
     DiscreteFeature,
-    DisjointPartition,
     FeatureSchema,
     Record,
     load_dataset,
@@ -67,7 +66,6 @@ __all__ = [
     "Dataset",
     "DiagnosticsReport",
     "DiscreteFeature",
-    "DisjointPartition",
     "FeatureSchema",
     "ForestModel",
     "InternalInvariantError",

@@ -30,8 +30,15 @@ from .evaluation import (
     diagnostics_to_dict,
     report_to_dict,
 )
-from .forest import TrainConfig, build_forest, load_model, predict_batch, save_model
-from .mechanism import neighbor_ratio_audit
+from .forest import (
+    BUDGET_MODES,
+    TrainConfig,
+    build_forest,
+    load_model,
+    predict_batch,
+    save_model,
+)
+from .mechanism import SENSITIVITY_MODES, neighbor_ratio_audit
 from .synth import PRESETS, generate, generate_preset
 from .tree import optimal_depth
 
@@ -119,7 +126,7 @@ def _cmd_train(args) -> int:
         outputs.append(args.diagnostics)
     _write_manifest("train", args, outputs, started)
     print(
-        f"trained {model.tau} trees at depth {model.depth}, "
+        f"trained {config.tau} trees at depth {model.config.depth_override}, "
         f"spent epsilon {float(ledger.composed_cost())}"
     )
     return 0
@@ -211,9 +218,9 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                         help="forest size (default 100)")
     parser.add_argument("--depth", type=int, default=None,
                         help="override the schema-derived tree depth")
-    parser.add_argument("--sensitivity", choices=["smooth", "global"],
+    parser.add_argument("--sensitivity", choices=SENSITIVITY_MODES,
                         default="smooth", help="sensitivity regime")
-    parser.add_argument("--budget", choices=["disjoint", "split"],
+    parser.add_argument("--budget", choices=BUDGET_MODES,
                         default="disjoint",
                         help="disjoint subsets at full budget, or shared "
                              "data at budget/trees")
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--counts", required=True,
                        help='label counts, e.g. "A:3,B:2"')
     audit.add_argument("--epsilon", type=float, required=True)
-    audit.add_argument("--sensitivity", choices=["smooth", "global"],
+    audit.add_argument("--sensitivity", choices=SENSITIVITY_MODES,
                        default="smooth")
     audit.add_argument("--report", default=None, help="report JSON path")
     audit.set_defaults(func=_cmd_audit)

@@ -557,23 +557,16 @@ def save_dataset(data: Dataset, path: str) -> None:
     write_csv(path, *csv_table(data))
 
 
-@dataclass(frozen=True)
-class DisjointPartition:
-    """Random split of a dataset into disjoint subsets of near-equal size."""
-
-    subsets: tuple[Dataset, ...]
-    indices: tuple[np.ndarray, ...]
-    parent_size: int
-
-
 def partition_disjoint(
     data: Dataset, tau: int, rng: np.random.Generator
-) -> DisjointPartition:
-    """Split ``data`` into ``tau`` disjoint random subsets.
+) -> tuple[np.ndarray, ...]:
+    """Split the rows of ``data`` into ``tau`` disjoint random index blocks.
 
     A uniform permutation is cut into tau contiguous blocks; the first
     ``n mod tau`` blocks get one extra record, so sizes differ by at most
-    one and every record lands in exactly one subset.
+    one and every record lands in exactly one block. Callers cut a block's
+    records with ``data.subset(block)`` when they use them, so only one
+    subset need be alive at a time.
     """
     n = len(data)
     if tau < 1:
@@ -588,5 +581,4 @@ def partition_disjoint(
         size = base + (1 if i < extra else 0)
         blocks.append(perm[start:start + size])
         start += size
-    subsets = tuple(data.subset(block) for block in blocks)
-    return DisjointPartition(subsets=subsets, indices=tuple(blocks), parent_size=n)
+    return tuple(blocks)

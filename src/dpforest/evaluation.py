@@ -8,7 +8,7 @@ it agrees with the pairwise comparison definition exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -203,8 +203,7 @@ def cross_validate(
 
     for repeat_seq in master.spawn(repeats):
         shuffle_seq, *cell_seqs = repeat_seq.spawn(folds + 1)
-        partition = partition_disjoint(data, folds, np.random.default_rng(shuffle_seq))
-        blocks = partition.indices
+        blocks = partition_disjoint(data, folds, np.random.default_rng(shuffle_seq))
         for fold_index in range(folds):
             train_idx = np.concatenate(
                 [blocks[i] for i in range(folds) if i != fold_index]
@@ -216,7 +215,7 @@ def cross_validate(
                 cell_config,
                 collect_diagnostics=True,
             )
-            test = partition.subsets[fold_index]
+            test = data.subset(blocks[fold_index])
             truth_codes = test.label_codes
             votes = vote_matrix(model, test)
             # argmax takes the first maximum, which is the schema-order tie break
@@ -226,7 +225,7 @@ def cross_validate(
                 truth = [class_labels[c] for c in truth_codes]
                 positive = least_frequent_label(truth, order=class_labels)
                 positive_code = class_labels.index(positive)
-                scores = votes[:, positive_code] / model.tau
+                scores = votes[:, positive_code] / config.tau
                 auc_samples.append(auc(scores, truth, positive))
                 predictions = [class_labels[c] for c in predicted_codes]
                 f1_samples.append(f1(predictions, truth, positive))
@@ -259,14 +258,7 @@ def report_to_dict(
         }
 
     return {
-        "config": {
-            "epsilon": config.epsilon,
-            "tau": config.tau,
-            "depth_override": config.depth_override,
-            "sensitivity_mode": config.sensitivity_mode,
-            "budget_mode": config.budget_mode,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "folds": folds,
         "repeats": repeats,
         "metrics": {

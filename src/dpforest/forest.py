@@ -16,16 +16,16 @@ diagnostic; those live only on the in-memory model and die with it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
 from .budget import BudgetLedger
 from .data import Dataset, FeatureSchema, Record, partition_disjoint, read_json
 from .errors import DataValidationError, InternalInvariantError
-from .mechanism import QueryDiagnostics, majority_label_query
+from .mechanism import SENSITIVITY_MODES, QueryDiagnostics, majority_label_query
 from .tree import (
     TreeNode,
     build_tree,
@@ -45,32 +45,47 @@ FORMAT_VERSION = 1
 # its derived depth with the default 100 trees (SynthG: 100 * 2**15)
 MAX_FOREST_LEAVES = 2**22
 
-SensitivityMode = Literal["smooth", "global"]
-BudgetMode = Literal["disjoint", "split"]
+BUDGET_MODES = ("disjoint", "split")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run, including the seed."""
+    """Everything that determines a training run, including the seed.
+
+    The same record travels from the CLI flags into the model file and
+    back, so the checks here are also the model loader's checks. On a
+    trained or loaded model ``depth_override`` is the depth the trees were
+    drawn at. An integer epsilon is stored as a float.
+    """
 
     epsilon: float
     tau: int = 100
     depth_override: int | None = None
-    sensitivity_mode: SensitivityMode = "smooth"
-    budget_mode: BudgetMode = "disjoint"
+    sensitivity_mode: str = "smooth"
+    budget_mode: str = "disjoint"
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be at least 1")
-        if self.depth_override is not None and self.depth_override < 1:
-            raise ValueError("depth override must be at least 1")
-        if self.sensitivity_mode not in ("smooth", "global"):
+        epsilon = self.epsilon
+        if not (_is_int(epsilon) or isinstance(epsilon, float)) or not (
+                0 < epsilon <= sys.float_info.max):
+            raise ValueError("epsilon must be a positive finite number")
+        object.__setattr__(self, "epsilon", float(epsilon))
+        if not _is_int(self.tau) or self.tau < 1:
+            raise ValueError("tau must be a positive integer")
+        if self.depth_override is not None and (
+                not _is_int(self.depth_override) or self.depth_override < 1):
+            raise ValueError("depth must be a positive integer")
+        if self.sensitivity_mode not in SENSITIVITY_MODES:
             raise ValueError(f"unknown sensitivity mode {self.sensitivity_mode!r}")
-        if self.budget_mode not in ("disjoint", "split"):
+        if self.budget_mode not in BUDGET_MODES:
             raise ValueError(f"unknown budget mode {self.budget_mode!r}")
+        if not _is_int(self.seed):
+            raise ValueError("seed must be an integer")
 
 
 @dataclass(frozen=True)
@@ -82,14 +97,11 @@ class ForestDiagnostics:
 
 @dataclass
 class ForestModel:
+    """Trees plus the config they were trained with, at their drawn depth."""
+
     schema: FeatureSchema
     trees: tuple[TreeNode, ...]
-    epsilon: float
-    tau: int
-    depth: int
-    sensitivity_mode: str
-    budget_mode: str
-    seed: int
+    config: TrainConfig
     diagnostics: ForestDiagnostics | None = field(default=None, repr=False)
 
 
@@ -162,10 +174,11 @@ def build_forest(
     partition_seq, *tree_seqs = root_seq.spawn(config.tau + 1)
 
     if config.budget_mode == "disjoint":
-        partition = partition_disjoint(
+        blocks = partition_disjoint(
             data, config.tau, np.random.default_rng(partition_seq)
         )
-        subsets = partition.subsets
+        # cut lazily, so one tree's subset is alive at a time
+        subsets = (data.subset(block) for block in blocks)
         epsilon_per_query = config.epsilon
     else:
         subsets = (data,) * config.tau
@@ -203,12 +216,7 @@ def build_forest(
     return ForestModel(
         schema=schema,
         trees=tuple(tree for tree, _ in results),
-        epsilon=config.epsilon,
-        tau=config.tau,
-        depth=depth,
-        sensitivity_mode=config.sensitivity_mode,
-        budget_mode=config.budget_mode,
-        seed=config.seed,
+        config=replace(config, depth_override=depth),
         diagnostics=diagnostics,
     )
 
@@ -230,7 +238,7 @@ def predict_scores(model: ForestModel, record: Record) -> dict[str, Fraction]:
     votes = {label: 0 for label in model.schema.class_labels}
     for tree in model.trees:
         votes[route_record(tree, record).label] += 1
-    return {label: Fraction(count, model.tau) for label, count in votes.items()}
+    return {label: Fraction(count, model.config.tau) for label, count in votes.items()}
 
 
 def vote_matrix(model: ForestModel, data: Dataset) -> np.ndarray:
@@ -277,12 +285,8 @@ def model_to_dict(model: ForestModel) -> dict:
         "format_version": FORMAT_VERSION,
         "schema": model.schema.to_dict(),
         "config": {
-            "epsilon": model.epsilon,
-            "tau": model.tau,
-            "depth": model.depth,
-            "sensitivity_mode": model.sensitivity_mode,
-            "budget_mode": model.budget_mode,
-            "seed": model.seed,
+            ("depth" if key == "depth_override" else key): value
+            for key, value in asdict(model.config).items()
         },
         "trees": [node_to_dict(tree) for tree in model.trees],
     }
@@ -320,43 +324,32 @@ def model_from_dict(obj: dict) -> ForestModel:
     raw_config = obj.get("config")
     if not isinstance(raw_config, dict):
         raise DataValidationError("model 'config' must be a JSON object")
+    # a model's trees were drawn at some depth: null is as bad as missing
+    if raw_config.get("depth") is None:
+        raise DataValidationError("model config is missing key 'depth'")
     try:
-        epsilon = raw_config["epsilon"]
-        tau = raw_config["tau"]
-        depth = raw_config["depth"]
-        sensitivity_mode = raw_config["sensitivity_mode"]
-        budget_mode = raw_config["budget_mode"]
-        seed = raw_config["seed"]
+        config = TrainConfig(
+            epsilon=raw_config["epsilon"],
+            tau=raw_config["tau"],
+            depth_override=raw_config["depth"],
+            sensitivity_mode=raw_config["sensitivity_mode"],
+            budget_mode=raw_config["budget_mode"],
+            seed=raw_config["seed"],
+        )
     except KeyError as missing:
         raise DataValidationError(f"model config is missing key {missing}") from None
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-        raise DataValidationError("model depth must be a positive integer")
-    if sensitivity_mode not in ("smooth", "global"):
-        raise DataValidationError(f"unknown sensitivity mode {sensitivity_mode!r}")
-    if budget_mode not in ("disjoint", "split"):
-        raise DataValidationError(f"unknown budget mode {budget_mode!r}")
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or epsilon <= 0:
-        raise DataValidationError("model epsilon must be a positive number")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DataValidationError("model seed must be an integer")
+    except ValueError as exc:
+        raise DataValidationError(f"model config: {exc}") from None
     raw_trees = obj.get("trees")
     if not isinstance(raw_trees, list) or not raw_trees:
         raise DataValidationError("model 'trees' must be a non-empty list")
-    if len(raw_trees) != tau:
+    if len(raw_trees) != config.tau:
         raise DataValidationError(
-            f"model declares tau={tau} but contains {len(raw_trees)} trees"
+            f"model declares tau={config.tau} but contains {len(raw_trees)} trees"
         )
+    depth = config.depth_override
     trees = tuple(node_from_dict(raw, schema, depth) for raw in raw_trees)
-    return ForestModel(
-        schema=schema,
-        trees=trees,
-        epsilon=float(epsilon),
-        tau=tau,
-        depth=depth,
-        sensitivity_mode=sensitivity_mode,
-        budget_mode=budget_mode,
-        seed=seed,
-    )
+    return ForestModel(schema=schema, trees=trees, config=config)
 
 
 def load_model(path: str) -> ForestModel:

@@ -27,6 +27,8 @@ import numpy as np
 
 GLOBAL_SENSITIVITY = 1.0
 
+SENSITIVITY_MODES = ("smooth", "global")
+
 # exp(x) overflows a double just above 709.78; exponent magnitudes beyond
 # that saturate the corresponding weight at zero.
 _MAX_FINITE_EXPONENT_LOG = 709.0
@@ -233,7 +235,7 @@ def _query_parameters(
     counts: Mapping[str, int], epsilon: float, sensitivity_mode: str
 ) -> tuple[dict[str, float], float | None, float | None, int]:
     """Scores plus sensitivity arguments for one majority query."""
-    if sensitivity_mode not in ("smooth", "global"):
+    if sensitivity_mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
     scores = score_labels(counts)
     gap = label_gap(counts)
@@ -266,7 +268,7 @@ def majority_label_query(
     diag = QueryDiagnostics(
         record_count=int(sum(counts.values())),
         gap=gap,
-        smooth_sensitivity=math.exp(-float(gap) * epsilon),
+        smooth_sensitivity=smooth_sensitivity(gap, epsilon),
         preferred_labels=preferred,
         flipped=bool(preferred) and label not in preferred,
     )

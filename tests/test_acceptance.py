@@ -240,8 +240,8 @@ def test_criterion_05_tree_building_never_reads_records():
 
 def test_criterion_06_partition_and_exact_budget(large_synth):
     started = time.monotonic()
-    partition = partition_disjoint(large_synth, 100, np.random.default_rng(0))
-    seen = np.concatenate(partition.indices)
+    blocks = partition_disjoint(large_synth, 100, np.random.default_rng(0))
+    seen = np.concatenate(blocks)
     covers = sorted(seen.tolist()) == list(range(30000))
     disjoint = len(np.unique(seen)) == 30000
 

@@ -63,8 +63,8 @@ def test_train_writes_model_and_manifest(workspace):
     ])
     assert code == 0
     model = load_model(str(model_path))
-    assert model.tau == 10
-    assert model.depth == 8
+    assert model.config.tau == 10
+    assert model.config.depth_override == 8
     diag = json.loads(diag_path.read_text(encoding="utf-8"))
     assert set(diag) == {
         "empty_leaf_fraction", "flip_fraction", "mean_smooth_sensitivity",
@@ -235,6 +235,28 @@ def test_data_errors_from_bad_model_file(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "format version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epsilon", "NaN"), ("epsilon", "Infinity"), ("tau", "true"), ("tau", "1.0"),
+])
+def test_model_with_a_bad_config_value_exits_two(workspace, tmp_path, capsys,
+                                                  key, value):
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--trees", "1", "--seed", "3", "--out", str(model_path),
+    ]) == 0
+    text = model_path.read_text(encoding="utf-8")
+    line = {"epsilon": '"epsilon": 1.0,', "tau": '"tau": 1,'}[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(line, f'"{key}": {value},', 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad), "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: model config: {key} ") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_deeply_nested_model_file_exits_two(workspace, tmp_path, capsys):

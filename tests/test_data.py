@@ -187,28 +187,27 @@ def test_subset_selects_rows(mixed_dataset):
 def test_partition_sizes_differ_by_at_most_one(mixed_dataset):
     rng = np.random.default_rng(0)
     ten = mixed_dataset.subset(np.arange(10))
-    part = partition_disjoint(ten, 3, rng)
-    assert sorted(len(s) for s in part.subsets) == [3, 3, 4]
-    assert len(part.subsets[0]) == 4  # the remainder goes to the front
-    assert part.parent_size == 10
+    blocks = partition_disjoint(ten, 3, rng)
+    assert sorted(len(ten.subset(b)) for b in blocks) == [3, 3, 4]
+    assert len(ten.subset(blocks[0])) == 4  # the remainder goes to the front
 
 
 def test_partition_covers_everything_disjointly(mixed_dataset):
-    part = partition_disjoint(mixed_dataset, 7, np.random.default_rng(5))
-    seen = np.concatenate(part.indices)
+    blocks = partition_disjoint(mixed_dataset, 7, np.random.default_rng(5))
+    seen = np.concatenate(blocks)
     assert sorted(seen.tolist()) == list(range(len(mixed_dataset)))
-    total = sum(len(s) for s in part.subsets)
+    total = sum(len(mixed_dataset.subset(b)) for b in blocks)
     assert total == len(mixed_dataset)
 
 
 def test_partition_is_seeded(mixed_dataset):
     one = partition_disjoint(mixed_dataset, 4, np.random.default_rng(9))
     two = partition_disjoint(mixed_dataset, 4, np.random.default_rng(9))
-    for a, b in zip(one.indices, two.indices):
+    for a, b in zip(one, two):
         assert np.array_equal(a, b)
     other = partition_disjoint(mixed_dataset, 4, np.random.default_rng(10))
     assert any(
-        not np.array_equal(a, b) for a, b in zip(one.indices, other.indices)
+        not np.array_equal(a, b) for a, b in zip(one, other)
     )
 
 
@@ -219,8 +218,8 @@ def test_partition_rejects_bad_tau(mixed_dataset):
     with pytest.raises(ValueError):
         partition_disjoint(mixed_dataset, len(mixed_dataset) + 1, rng)
     # tau == n leaves one record per subset
-    part = partition_disjoint(mixed_dataset, len(mixed_dataset), rng)
-    assert all(len(s) == 1 for s in part.subsets)
+    blocks = partition_disjoint(mixed_dataset, len(mixed_dataset), rng)
+    assert all(len(mixed_dataset.subset(b)) == 1 for b in blocks)
 
 
 def test_dataset_rejects_inconsistent_columns(mixed_schema):

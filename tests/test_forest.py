@@ -41,6 +41,20 @@ def test_train_config_validation():
         TrainConfig(epsilon=1.0, sensitivity_mode="fuzzy")
     with pytest.raises(ValueError):
         TrainConfig(epsilon=1.0, budget_mode="everything")
+    for epsilon in (math.nan, math.inf, True, "1.0", 10**400):
+        with pytest.raises(ValueError, match="epsilon"):
+            TrainConfig(epsilon=epsilon)
+    for tau in (True, 1.0, 5.0):
+        with pytest.raises(ValueError, match="tau"):
+            TrainConfig(epsilon=1.0, tau=tau)
+    for depth in (True, 2.0):
+        with pytest.raises(ValueError, match="depth"):
+            TrainConfig(epsilon=1.0, depth_override=depth)
+    for seed in (1.0, False, None):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(epsilon=1.0, seed=seed)
+    integral = TrainConfig(epsilon=2)
+    assert integral.epsilon == 2.0 and isinstance(integral.epsilon, float)
 
 
 def test_build_forest_is_reproducible(small_data, tmp_path):
@@ -88,11 +102,11 @@ def test_disjoint_mode_uses_one_scope_per_tree(small_data):
 
 def test_forest_uses_derived_depth_by_default(small_data):
     model = build_forest(small_data, TrainConfig(epsilon=1.0, tau=3, seed=0))
-    assert model.depth == 5  # five continuous features
+    assert model.config.depth_override == 5  # five continuous features
     override = build_forest(
         small_data, TrainConfig(epsilon=1.0, tau=3, depth_override=2, seed=0)
     )
-    assert override.depth == 2
+    assert override.config.depth_override == 2
 
 
 def test_every_leaf_is_labeled(small_data):
@@ -149,12 +163,7 @@ def test_predict_majority_and_tie_break():
     model = ForestModel(
         schema=schema,
         trees=(Leaf("second"), Leaf("first")),
-        epsilon=1.0,
-        tau=2,
-        depth=1,
-        sensitivity_mode="smooth",
-        budget_mode="disjoint",
-        seed=0,
+        config=TrainConfig(epsilon=1.0, tau=2, depth_override=1, seed=0),
     )
     assert predict(model, record) == "first"  # tie goes to the first listed label
     scores = predict_scores(model, record)
@@ -245,6 +254,29 @@ def test_model_loader_rejects_bad_documents(small_data, tmp_path):
     node["label"] = "never-a-class"
     with pytest.raises(DataValidationError):
         model_from_dict(bad_label)
+
+    # one tree, so that a tau equal to 1 passes the tree count check
+    one_tree = json.loads(json.dumps(document))
+    one_tree["trees"] = one_tree["trees"][:1]
+    one_tree["config"]["tau"] = 1
+    for key, value, match in [
+        ("epsilon", math.nan, "model config: epsilon"),
+        ("epsilon", math.inf, "model config: epsilon"),
+        ("epsilon", -math.inf, "model config: epsilon"),
+        ("tau", True, "model config: tau"),
+        ("tau", 1.0, "model config: tau"),
+        ("seed", 0.0, "model config: seed"),
+        ("depth", None, "missing key 'depth'"),
+    ]:
+        bad_config = json.loads(json.dumps(one_tree))
+        bad_config["config"][key] = value
+        with pytest.raises(DataValidationError, match=match):
+            model_from_dict(bad_config)
+    # an integer epsilon loads as a float and is written back as one
+    integral = json.loads(json.dumps(document))
+    integral["config"]["epsilon"] = 1
+    loaded = model_from_dict(integral)
+    assert json.dumps(model_to_dict(loaded)) == json.dumps(document)
 
 
 def test_unlabeled_leaves_never_serialize(small_data):
