@@ -32,13 +32,14 @@ from .evaluation import (
 )
 from .forest import (
     BUDGET_MODES,
+    DEFAULT_BUDGET_MODE,
     TrainConfig,
     build_forest,
     load_model,
     predict_batch,
     save_model,
 )
-from .mechanism import SENSITIVITY_MODES, neighbor_ratio_audit
+from .mechanism import DEFAULT_SENSITIVITY_MODE, SENSITIVITY_MODES, neighbor_ratio_audit
 from .synth import PRESETS, generate, generate_preset
 from .tree import optimal_depth
 
@@ -219,9 +220,9 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth", type=int, default=None,
                         help="override the schema-derived tree depth")
     parser.add_argument("--sensitivity", choices=SENSITIVITY_MODES,
-                        default="smooth", help="sensitivity regime")
+                        default=DEFAULT_SENSITIVITY_MODE, help="sensitivity regime")
     parser.add_argument("--budget", choices=BUDGET_MODES,
-                        default="disjoint",
+                        default=DEFAULT_BUDGET_MODE,
                         help="disjoint subsets at full budget, or shared "
                              "data at budget/trees")
     parser.add_argument("--seed", type=int, default=0, help="training seed")
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help='label counts, e.g. "A:3,B:2"')
     audit.add_argument("--epsilon", type=float, required=True)
     audit.add_argument("--sensitivity", choices=SENSITIVITY_MODES,
-                       default="smooth")
+                       default=DEFAULT_SENSITIVITY_MODE)
     audit.add_argument("--report", default=None, help="report JSON path")
     audit.set_defaults(func=_cmd_audit)
 

@@ -42,10 +42,6 @@ class ContinuousFeature:
                 f"strictly below upper bound {self.upper}"
             )
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class DiscreteFeature:

@@ -9,7 +9,7 @@ it agrees with the pairwise comparison definition exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,17 +127,16 @@ def _summary(samples: Sequence[float]) -> MetricSummary:
 
 
 def summarize_leaf_diagnostics(
-    per_tree: Sequence[Sequence[QueryDiagnostics]],
+    per_tree: Iterable[Sequence[QueryDiagnostics]],
 ) -> DiagnosticsReport:
     """Aggregate per-leaf query diagnostics.
 
     The empty-leaf fraction is summarized per tree (mean and std across
     trees). Flip fraction and mean smooth sensitivity are pooled over
     non-empty leaves only; empty leaves are uniform draws with sensitivity
-    pinned at one, and including them would drown the signal.
+    pinned at one, and including them would drown the signal. Trees may
+    arrive from a generator, so none need outlive its turn.
     """
-    if not per_tree:
-        raise ValueError("no trees to summarize")
     empty_fractions = []
     flips = 0
     occupied = 0
@@ -153,6 +152,8 @@ def summarize_leaf_diagnostics(
             occupied += 1
             flips += int(diag.flipped)
             sensitivity_total += diag.smooth_sensitivity
+    if not empty_fractions:
+        raise ValueError("no trees to summarize")
     fractions = np.asarray(empty_fractions)
     return DiagnosticsReport(
         empty_leaf_fraction_mean=float(fractions.mean()),
@@ -167,7 +168,7 @@ def summarize_leaf_diagnostics(
 def collect_diagnostics(model: ForestModel) -> DiagnosticsReport:
     if model.diagnostics is None:
         raise ValueError("model was built without collect_diagnostics")
-    return summarize_leaf_diagnostics(model.diagnostics.per_tree)
+    return summarize_leaf_diagnostics(model.diagnostics)
 
 
 def cross_validate(
@@ -183,7 +184,8 @@ def cross_validate(
     ``partition_disjoint``, and trains one forest per held-out fold with a
     fresh seed derived from ``config.seed``. Binary tasks
     additionally report AUC and F1 for the least frequent class of each
-    test fold; multiclass tasks report accuracy only.
+    test fold; multiclass tasks report accuracy only. Each forest's leaf
+    diagnostics are summarized as it is trained, not kept to the end.
     """
     n = len(data)
     if folds < 2:
@@ -199,44 +201,47 @@ def cross_validate(
     accuracy_samples: list[float] = []
     auc_samples: list[float] = []
     f1_samples: list[float] = []
-    all_tree_diagnostics: list[tuple[QueryDiagnostics, ...]] = []
 
-    for repeat_seq in master.spawn(repeats):
-        shuffle_seq, *cell_seqs = repeat_seq.spawn(folds + 1)
-        blocks = partition_disjoint(data, folds, np.random.default_rng(shuffle_seq))
-        for fold_index in range(folds):
-            train_idx = np.concatenate(
-                [blocks[i] for i in range(folds) if i != fold_index]
-            )
-            cell_seed = int(cell_seqs[fold_index].generate_state(1, np.uint64)[0])
-            cell_config = replace(config, seed=cell_seed)
-            model = build_forest(
-                data.subset(train_idx),
-                cell_config,
-                collect_diagnostics=True,
-            )
-            test = data.subset(blocks[fold_index])
-            truth_codes = test.label_codes
-            votes = vote_matrix(model, test)
-            # argmax takes the first maximum, which is the schema-order tie break
-            predicted_codes = np.argmax(votes, axis=1)
-            accuracy_samples.append(float(np.mean(predicted_codes == truth_codes)))
-            if binary:
-                truth = [class_labels[c] for c in truth_codes]
-                positive = least_frequent_label(truth, order=class_labels)
-                positive_code = class_labels.index(positive)
-                scores = votes[:, positive_code] / config.tau
-                auc_samples.append(auc(scores, truth, positive))
-                predictions = [class_labels[c] for c in predicted_codes]
-                f1_samples.append(f1(predictions, truth, positive))
-            all_tree_diagnostics.extend(model.diagnostics.per_tree)
+    def trained_diagnostics() -> Iterator[tuple[QueryDiagnostics, ...]]:
+        # trains and scores every cell, then yields its trees' diagnostics
+        for repeat_seq in master.spawn(repeats):
+            shuffle_seq, *cell_seqs = repeat_seq.spawn(folds + 1)
+            blocks = partition_disjoint(data, folds, np.random.default_rng(shuffle_seq))
+            for fold_index in range(folds):
+                train_idx = np.concatenate(
+                    [blocks[i] for i in range(folds) if i != fold_index]
+                )
+                cell_seed = int(cell_seqs[fold_index].generate_state(1, np.uint64)[0])
+                cell_config = replace(config, seed=cell_seed)
+                model = build_forest(
+                    data.subset(train_idx),
+                    cell_config,
+                    collect_diagnostics=True,
+                )
+                test = data.subset(blocks[fold_index])
+                truth_codes = test.label_codes
+                votes = vote_matrix(model, test)
+                # argmax takes the first maximum, which is the schema-order tie break
+                predicted_codes = np.argmax(votes, axis=1)
+                accuracy_samples.append(
+                    float(np.mean(predicted_codes == truth_codes)))
+                if binary:
+                    truth = [class_labels[c] for c in truth_codes]
+                    positive = least_frequent_label(truth, order=class_labels)
+                    positive_code = class_labels.index(positive)
+                    scores = votes[:, positive_code] / config.tau
+                    auc_samples.append(auc(scores, truth, positive))
+                    predictions = [class_labels[c] for c in predicted_codes]
+                    f1_samples.append(f1(predictions, truth, positive))
+                yield from model.diagnostics
 
+    diagnostics = summarize_leaf_diagnostics(trained_diagnostics())
     metrics = MetricsReport(
         accuracy=_summary(accuracy_samples),
         auc=_summary(auc_samples) if binary else None,
         f1=_summary(f1_samples) if binary else None,
     )
-    return metrics, summarize_leaf_diagnostics(all_tree_diagnostics)
+    return metrics, diagnostics
 
 
 def report_to_dict(

@@ -25,7 +25,8 @@ import numpy as np
 from .budget import BudgetLedger
 from .data import Dataset, FeatureSchema, Record, partition_disjoint, read_json
 from .errors import DataValidationError, InternalInvariantError
-from .mechanism import SENSITIVITY_MODES, QueryDiagnostics, majority_label_query
+from .mechanism import (DEFAULT_SENSITIVITY_MODE, SENSITIVITY_MODES, QueryDiagnostics,
+                        majority_label_query)
 from .tree import (
     TreeNode,
     build_tree,
@@ -46,6 +47,7 @@ FORMAT_VERSION = 1
 MAX_FOREST_LEAVES = 2**22
 
 BUDGET_MODES = ("disjoint", "split")
+DEFAULT_BUDGET_MODE = "disjoint"
 
 
 def _is_int(value) -> bool:
@@ -65,8 +67,8 @@ class TrainConfig:
     epsilon: float
     tau: int = 100
     depth_override: int | None = None
-    sensitivity_mode: str = "smooth"
-    budget_mode: str = "disjoint"
+    sensitivity_mode: str = DEFAULT_SENSITIVITY_MODE
+    budget_mode: str = DEFAULT_BUDGET_MODE
     seed: int = 0
 
     def __post_init__(self):
@@ -88,13 +90,6 @@ class TrainConfig:
             raise ValueError("seed must be an integer")
 
 
-@dataclass(frozen=True)
-class ForestDiagnostics:
-    """Per-leaf query diagnostics, grouped by tree. Not privacy safe."""
-
-    per_tree: tuple[tuple[QueryDiagnostics, ...], ...]
-
-
 @dataclass
 class ForestModel:
     """Trees plus the config they were trained with, at their drawn depth."""
@@ -102,7 +97,9 @@ class ForestModel:
     schema: FeatureSchema
     trees: tuple[TreeNode, ...]
     config: TrainConfig
-    diagnostics: ForestDiagnostics | None = field(default=None, repr=False)
+    # when collected: per tree, per leaf in construction order; not privacy safe
+    diagnostics: tuple[tuple[QueryDiagnostics, ...], ...] | None = field(
+        default=None, repr=False)
 
 
 def fill_leaf_labels(
@@ -111,25 +108,28 @@ def fill_leaf_labels(
     epsilon: float,
     rng: np.random.Generator,
     *,
-    sensitivity_mode: str = "smooth",
+    sensitivity_mode: str = DEFAULT_SENSITIVITY_MODE,
 ) -> tuple[TreeNode, tuple[QueryDiagnostics, ...]]:
     """Give every leaf a label through one noisy majority query each.
 
-    Routes the records once, then queries leaf by leaf in construction
-    order. Empty leaves still get a query: with no records every label
-    scores zero and the draw is uniform, so the filled tree leaks nothing
-    about which regions were empty. The tree must not be filled already.
+    Routes the records once and counts every leaf's labels in one pass,
+    then queries leaf by leaf in construction order, which is the order
+    the random stream is consumed in. Empty leaves still get a query: with
+    no records every label scores zero and the draw is uniform, so the
+    filled tree leaks nothing about which regions were empty. The tree
+    must not be filled already.
     """
     class_labels = data.schema.class_labels
-    label_codes = data.label_codes
+    k = len(class_labels)
+    leaves, leaf_ids = leaf_assignments(tree, data)
+    counts = np.bincount(leaf_ids * k + data.label_codes, minlength=len(leaves) * k)
     diagnostics: list[QueryDiagnostics] = []
-    for leaf, idx in leaf_assignments(tree, data):
+    for leaf, row in zip(leaves, counts.reshape(-1, k).tolist()):
         if leaf.label is not None:
             raise ValueError("tree already has leaf labels")
-        tally = np.bincount(label_codes[idx], minlength=len(class_labels))
-        counts = {c: int(tally[i]) for i, c in enumerate(class_labels)}
         label, diag = majority_label_query(
-            counts, epsilon, rng, sensitivity_mode=sensitivity_mode
+            dict(zip(class_labels, row)), epsilon, rng,
+            sensitivity_mode=sensitivity_mode,
         )
         leaf.label = label
         diagnostics.append(diag)
@@ -184,17 +184,19 @@ def build_forest(
         subsets = (data,) * config.tau
         epsilon_per_query = config.epsilon / config.tau
 
-    results = []
+    trees, per_tree = [], []
     for tree_seq, subset in zip(tree_seqs, subsets):
         rng = np.random.default_rng(tree_seq)
-        tree = build_tree(schema, depth, rng)
-        results.append(fill_leaf_labels(
-            tree,
+        tree, diagnostics = fill_leaf_labels(
+            build_tree(schema, depth, rng),
             subset,
             epsilon_per_query,
             rng,
             sensitivity_mode=config.sensitivity_mode,
-        ))
+        )
+        trees.append(tree)
+        if collect_diagnostics:
+            per_tree.append(diagnostics)
 
     epsilon_exact = Fraction(config.epsilon)
     if config.budget_mode == "disjoint":
@@ -210,27 +212,19 @@ def build_forest(
             f"for budget {epsilon_exact}"
         )
 
-    diagnostics = None
-    if collect_diagnostics:
-        diagnostics = ForestDiagnostics(per_tree=tuple(diags for _, diags in results))
     return ForestModel(
         schema=schema,
-        trees=tuple(tree for tree, _ in results),
+        trees=tuple(trees),
         config=replace(config, depth_override=depth),
-        diagnostics=diagnostics,
+        diagnostics=tuple(per_tree) if collect_diagnostics else None,
     )
 
 
 def predict(model: ForestModel, record: Record) -> str:
     """Majority vote over the trees. Ties go to the first listed class label."""
-    votes = {label: 0 for label in model.schema.class_labels}
-    for tree in model.trees:
-        votes[route_record(tree, record).label] += 1
-    best = max(votes.values())
-    for label in model.schema.class_labels:
-        if votes[label] == best:
-            return label
-    raise InternalInvariantError("vote tally lost its maximum")
+    scores = predict_scores(model, record)
+    # max keeps the first maximum, which is the schema-order tie break
+    return max(scores, key=scores.get)
 
 
 def predict_scores(model: ForestModel, record: Record) -> dict[str, Fraction]:
@@ -245,10 +239,11 @@ def vote_matrix(model: ForestModel, data: Dataset) -> np.ndarray:
     """Vote counts per record and class label, in schema label order."""
     class_index = {label: i for i, label in enumerate(model.schema.class_labels)}
     votes = np.zeros((len(data), len(class_index)), dtype=np.int32)
+    rows = np.arange(len(data))
     for tree in model.trees:
-        for leaf, idx in leaf_assignments(tree, data):
-            if idx.size:
-                votes[idx, class_index[leaf.label]] += 1
+        leaves, leaf_ids = leaf_assignments(tree, data)
+        leaf_codes = np.array([class_index[leaf.label] for leaf in leaves])
+        votes[rows, leaf_codes[leaf_ids]] += 1
     return votes
 
 

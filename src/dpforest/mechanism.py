@@ -28,6 +28,9 @@ import numpy as np
 GLOBAL_SENSITIVITY = 1.0
 
 SENSITIVITY_MODES = ("smooth", "global")
+DEFAULT_SENSITIVITY_MODE = "smooth"
+
+MAX_AUDIT_RECORDS = 1000  # most records neighbor_ratio_audit enumerates around
 
 # exp(x) overflows a double just above 709.78; exponent magnitudes beyond
 # that saturate the corresponding weight at zero.
@@ -77,10 +80,7 @@ def smooth_sensitivity(gap: int, epsilon: float) -> float:
     to one. May underflow to 0.0 for very large gap * epsilon; callers that
     need the extreme regime should work with log_smooth_sensitivity.
     """
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
-    _check_epsilon(epsilon)
-    return math.exp(-float(gap) * epsilon)
+    return math.exp(log_smooth_sensitivity(gap, epsilon))
 
 
 def log_smooth_sensitivity(gap: int, epsilon: float) -> float:
@@ -249,7 +249,7 @@ def majority_label_query(
     epsilon: float,
     rng: np.random.Generator,
     *,
-    sensitivity_mode: str = "smooth",
+    sensitivity_mode: str = DEFAULT_SENSITIVITY_MODE,
 ) -> tuple[str, QueryDiagnostics]:
     """Release a noisy majority label for one leaf.
 
@@ -315,8 +315,7 @@ def neighbor_ratio_audit(
     counts: Mapping[str, int],
     epsilon: float,
     *,
-    sensitivity_mode: str = "smooth",
-    max_total: int = 1000,
+    sensitivity_mode: str = DEFAULT_SENSITIVITY_MODE,
 ) -> AuditReport:
     """Measure output probability ratios against all one-record neighbours.
 
@@ -331,46 +330,41 @@ def neighbor_ratio_audit(
     _check_counts(counts)
     _check_epsilon(epsilon)
     total = sum(counts.values())
-    if total > max_total:
+    if total > MAX_AUDIT_RECORDS:
         raise ValueError(
-            f"refusing to audit {total} records (limit {max_total}); "
+            f"refusing to audit {total} records (limit {MAX_AUDIT_RECORDS}); "
             "the audit enumerates neighbours exhaustively"
         )
 
     base = _audit_log_distribution(counts, epsilon, sensitivity_mode)
-
-    neighbors = []
-    for label in counts:
-        bumped = dict(counts)
-        bumped[label] += 1
-        neighbors.append(("add", label, bumped))
-    for label in counts:
-        if counts[label] > 0:
-            dropped = dict(counts)
-            dropped[label] -= 1
-            neighbors.append(("remove", label, dropped))
-
     per_label = {label: 0.0 for label in counts}
     max_ratio = 0.0
     worst = None
-    for change, changed_label, neighbor_counts in neighbors:
-        other = _audit_log_distribution(neighbor_counts, epsilon, sensitivity_mode)
-        for label in counts:
-            a = base[label]
-            b = other[label]
-            if math.isinf(a) and math.isinf(b):
-                ratio = math.inf
-            else:
-                ratio = abs(a - b)
-            if ratio > per_label[label]:
-                per_label[label] = ratio
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst = {
-                    "change": change,
-                    "label": changed_label,
-                    "counts": dict(neighbor_counts),
-                }
+    for change, step in (("add", 1), ("remove", -1)):
+        for changed_label in counts:
+            if counts[changed_label] + step < 0:
+                continue
+            neighbor_counts = dict(counts)
+            neighbor_counts[changed_label] += step
+            other = _audit_log_distribution(
+                neighbor_counts, epsilon, sensitivity_mode
+            )
+            for label in counts:
+                a = base[label]
+                b = other[label]
+                if math.isinf(a) and math.isinf(b):
+                    ratio = math.inf
+                else:
+                    ratio = abs(a - b)
+                if ratio > per_label[label]:
+                    per_label[label] = ratio
+                if ratio > max_ratio:
+                    max_ratio = ratio
+                    worst = {
+                        "change": change,
+                        "label": changed_label,
+                        "counts": neighbor_counts,
+                    }
     return AuditReport(
         epsilon=epsilon,
         sensitivity_mode=sensitivity_mode,

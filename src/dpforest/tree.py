@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import ContinuousFeature, Dataset, FeatureSchema, Record
+from .data import ContinuousFeature, Dataset, FeatureSchema, FeatureSpec, Record
 from .errors import DataValidationError
 
 # continuous domains narrower than this are numerically exhausted
@@ -39,6 +39,8 @@ class ContinuousSplit:
 
 @dataclass
 class DiscreteSplit:
+    """One child per value, in the feature's declared value order."""
+
     feature: str
     children: dict[str, "TreeNode"] = field(default_factory=dict)
 
@@ -169,34 +171,33 @@ def iter_leaves(root: TreeNode) -> Iterator[Leaf]:
             stack.extend(reversed(list(node.children.values())))
 
 
-def leaf_assignments(root: TreeNode, data: Dataset) -> list[tuple[Leaf, np.ndarray]]:
-    """Pair every leaf with the indices of the records routed to it.
+def leaf_assignments(root: TreeNode, data: Dataset) -> tuple[list[Leaf], np.ndarray]:
+    """Route every record at once: the leaves, and each record's leaf index.
 
-    All leaves appear in construction order, empty ones with empty index
-    arrays. Agrees with route_record on every record; the batch form just
-    avoids walking the tree once per row.
+    Leaves come in construction order, empty ones included, and
+    ``leaves[leaf_ids[i]]`` is ``route_record(root, data.record(i))``.
+    Discrete children are taken in the feature's declared value order,
+    which is the order of the record's value codes.
     """
-    value_codes = {
-        f.name: {v: i for i, v in enumerate(f.values)}
-        for f in data.schema.discrete_features()
-    }
-    out: list[tuple[Leaf, np.ndarray]] = []
-
-    def visit(node: TreeNode, idx: np.ndarray) -> None:
+    leaves: list[Leaf] = []
+    leaf_ids = np.empty(len(data), dtype=np.intp)
+    # an explicit stack: a recursive closure would hold every index array
+    # in a reference cycle until the cyclic collector ran
+    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(len(data)))]
+    while stack:
+        node, idx = stack.pop()
         if isinstance(node, Leaf):
-            out.append((node, idx))
-            return
-        if isinstance(node, ContinuousSplit):
-            below_mask = data.column(node.feature)[idx] < node.split
-            visit(node.below, idx[below_mask])
-            visit(node.at_or_above, idx[~below_mask])
-            return
-        codes = data.column(node.feature)[idx]
-        for value, child in node.children.items():
-            visit(child, idx[codes == value_codes[node.feature][value]])
-
-    visit(root, np.arange(len(data)))
-    return out
+            leaf_ids[idx] = len(leaves)
+            leaves.append(node)
+        elif isinstance(node, ContinuousSplit):
+            below = data.column(node.feature)[idx] < node.split
+            stack.append((node.at_or_above, idx[~below]))
+            stack.append((node.below, idx[below]))
+        else:
+            codes = data.column(node.feature)[idx]
+            for code, child in reversed(list(enumerate(node.children.values()))):
+                stack.append((child, idx[codes == code]))
+    return leaves, leaf_ids
 
 
 def node_to_dict(node: TreeNode) -> dict:
@@ -252,6 +253,12 @@ def node_from_dict(obj, schema: FeatureSchema, depth: int) -> TreeNode:
 
     A tree with more than ``depth`` tests on a path is rejected.
     """
+    features = {f.name: f for f in schema.features}
+    return _node_from_dict(obj, features, set(schema.class_labels), depth)
+
+
+def _node_from_dict(obj, features: dict[str, FeatureSpec], labels: set[str],
+                    depth: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise DataValidationError("tree node must be a JSON object")
     kind = obj.get("kind")
@@ -261,12 +268,18 @@ def node_from_dict(obj, schema: FeatureSchema, depth: int) -> TreeNode:
         depth -= 1
     if kind == "leaf":
         label = obj.get("label")
-        if label not in schema.class_labels:
+        if not isinstance(label, str) or label not in labels:
             raise DataValidationError(f"leaf label {label!r} not in class labels")
         return Leaf(label=label)
+    if kind not in ("split_cont", "split_disc"):
+        raise DataValidationError(f"unknown tree node kind {kind!r}")
+    feature = obj.get("feature")
+    if not isinstance(feature, str):
+        raise DataValidationError("tree node feature name must be a string")
+    spec = features.get(feature)
+    if spec is None:
+        raise DataValidationError(f"unknown feature {feature!r} in tree")
     if kind == "split_cont":
-        feature = obj.get("feature")
-        spec = _feature_or_error(schema, feature)
         if not isinstance(spec, ContinuousFeature):
             raise DataValidationError(f"feature {feature!r} is not continuous")
         split = obj.get("split")
@@ -275,32 +288,20 @@ def node_from_dict(obj, schema: FeatureSchema, depth: int) -> TreeNode:
         if not math.isfinite(float(split)):
             raise DataValidationError(f"split for {feature!r} must be finite")
         return ContinuousSplit(
-            feature=feature,
-            split=float(split),
-            below=node_from_dict(obj.get("below"), schema, depth),
-            at_or_above=node_from_dict(obj.get("at_or_above"), schema, depth),
+            feature,
+            float(split),
+            _node_from_dict(obj.get("below"), features, labels, depth),
+            _node_from_dict(obj.get("at_or_above"), features, labels, depth),
         )
-    if kind == "split_disc":
-        feature = obj.get("feature")
-        spec = _feature_or_error(schema, feature)
-        if isinstance(spec, ContinuousFeature):
-            raise DataValidationError(f"feature {feature!r} is not discrete")
-        children = obj.get("children")
-        if not isinstance(children, dict) or set(children) != set(spec.values):
-            raise DataValidationError(
-                f"children of {feature!r} must cover exactly its declared values"
-            )
-        return DiscreteSplit(
-            feature=feature,
-            children={v: node_from_dict(children[v], schema, depth) for v in spec.values},
+    if isinstance(spec, ContinuousFeature):
+        raise DataValidationError(f"feature {feature!r} is not discrete")
+    children = obj.get("children")
+    if not isinstance(children, dict) or set(children) != set(spec.values):
+        raise DataValidationError(
+            f"children of {feature!r} must cover exactly its declared values"
         )
-    raise DataValidationError(f"unknown tree node kind {kind!r}")
-
-
-def _feature_or_error(schema: FeatureSchema, name) -> ContinuousFeature:
-    if not isinstance(name, str):
-        raise DataValidationError("tree node feature name must be a string")
-    try:
-        return schema.feature(name)
-    except KeyError:
-        raise DataValidationError(f"unknown feature {name!r} in tree") from None
+    return DiscreteSplit(
+        feature=feature,
+        children={v: _node_from_dict(children[v], features, labels, depth)
+                  for v in spec.values},
+    )

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +136,16 @@ def test_summarize_excludes_empty_leaves_from_flip_and_sensitivity():
     assert report.mean_smooth_sensitivity == pytest.approx(0.2)
 
 
+def test_summarize_reads_a_generator_like_a_list():
+    data = generate(3, 0, 240, np.random.default_rng(4))
+    config = TrainConfig(epsilon=1.0, tau=4, depth_override=5, seed=8)
+    per_tree = build_forest(data, config, collect_diagnostics=True).diagnostics
+    from_list = summarize_leaf_diagnostics(list(per_tree))
+    assert summarize_leaf_diagnostics(leaves for leaves in per_tree) == from_list
+    with pytest.raises(ValueError, match="no trees"):
+        summarize_leaf_diagnostics(leaves for leaves in ())
+
+
 def test_cross_validate_shapes_and_determinism():
     data = generate(3, 0, 300, np.random.default_rng(5))
     config = TrainConfig(epsilon=1.0, tau=5, depth_override=4, seed=9)
@@ -204,6 +216,35 @@ def test_cross_validate_folds_match_the_reference_cutter(monkeypatch, n, folds, 
             assert _same_records(tested[cell], data.subset(blocks[i]))
             assert _same_records(trained[cell], data.subset(train_idx))
             cell += 1
+
+
+def test_cross_validate_keeps_one_forest_of_leaf_diagnostics(monkeypatch):
+    import dpforest.evaluation
+    import dpforest.forest
+
+    data = generate(3, 0, 300, np.random.default_rng(5))
+    config = TrainConfig(epsilon=1.0, tau=5, depth_override=4, seed=9)
+    refs, live_at_entry, forest_leaves = [], [], []
+    query, build = dpforest.forest.majority_label_query, dpforest.evaluation.build_forest
+
+    def spy_query(*args, **kwargs):
+        label, diag = query(*args, **kwargs)
+        refs.append(weakref.ref(diag))
+        return label, diag
+
+    def spy_build(*args, **kwargs):
+        gc.collect()
+        live_at_entry.append(sum(ref() is not None for ref in refs))
+        model = build(*args, **kwargs)
+        forest_leaves.append(sum(len(leaves) for leaves in model.diagnostics))
+        return model
+
+    monkeypatch.setattr(dpforest.forest, "majority_label_query", spy_query)
+    monkeypatch.setattr(dpforest.evaluation, "build_forest", spy_build)
+    cross_validate(data, config, folds=3, repeats=2)
+
+    assert len(live_at_entry) == 6
+    assert max(live_at_entry) <= max(forest_leaves)
 
 
 def test_cross_validate_multiclass_reports_accuracy_only():

@@ -142,7 +142,7 @@ def test_split_mode_diagnostics_use_the_per_query_epsilon(small_data):
     )
     model = build_forest(small_data, config, collect_diagnostics=True)
     per_query = 2.0 / 4
-    for leaves in model.diagnostics.per_tree:
+    for leaves in model.diagnostics:
         for diag in leaves:
             assert diag.smooth_sensitivity == pytest.approx(
                 math.exp(-diag.gap * per_query)

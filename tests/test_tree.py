@@ -175,22 +175,20 @@ def test_leaf_assignments_agree_with_scalar_routing(mixed_dataset):
     rng = np.random.default_rng(3)
     for _ in range(5):
         tree = build_tree(mixed_dataset.schema, 4, rng)
-        owner = {}
-        for leaf, idx in leaf_assignments(tree, mixed_dataset):
-            for i in idx:
-                owner[int(i)] = id(leaf)
-        assert len(owner) == len(mixed_dataset)
+        leaves, ids = leaf_assignments(tree, mixed_dataset)
+        assert len(ids) == len(mixed_dataset)
         for i in range(len(mixed_dataset)):
             leaf = route_record(tree, mixed_dataset.record(i))
-            assert owner[i] == id(leaf)
+            assert leaves[ids[i]] is leaf
 
 
 def test_leaf_assignments_include_empty_leaves(mixed_dataset):
     tree = build_tree(mixed_dataset.schema, 6, np.random.default_rng(1))
-    pairs = leaf_assignments(tree, mixed_dataset)
-    assert len(pairs) == sum(1 for _ in iter_leaves(tree))
-    assert sum(len(idx) for _, idx in pairs) == len(mixed_dataset)
-    assert any(len(idx) == 0 for _, idx in pairs)  # 60 records cannot fill 64+ leaves
+    leaves, ids = leaf_assignments(tree, mixed_dataset)
+    sizes = np.bincount(ids, minlength=len(leaves))
+    assert len(leaves) == sum(1 for _ in iter_leaves(tree))
+    assert sum(sizes) == len(mixed_dataset)
+    assert any(sizes == 0)  # 60 records cannot fill 64+ leaves
 
 
 def test_serialization_round_trip(mixed_schema):
