@@ -155,6 +155,18 @@ CASES = {
          "--folds", "3", "--repeats", "2", "--report", "{dir}/mixed-eval-report"],
         "58453849090920953b1bf7b1074262b85b60ae109f6da648dd64e83634abcec2",
     ),
+    # deep enough that most leaves are empty and continuous domains are
+    # split many times along one path
+    "deep-model": (
+        ["train", "--epsilon", "1.0", "--trees", "3", "--depth", "11", "--seed", "8",
+         "--sensitivity", "smooth", "--budget", "split", "--out", "{dir}/deep-model"],
+        "5e20101e3d612a469bde5a1245b5f498ca494b4585c98d4aa86cc6017fd4106f",
+    ),
+    "deep-predictions": (
+        ["predict", "--model", "{dir}/deep-model", "--data", "{dir}/gen-data",
+         "--out", "{dir}/deep-predictions"],
+        "a4227a753e3bb0c15ae8f8ec9b849aff234221d14c2dea498b96aef0d9c61c0d",
+    ),
 }
 
 

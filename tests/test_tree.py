@@ -3,7 +3,9 @@ import pytest
 
 from dpforest.data import ContinuousFeature, DiscreteFeature, FeatureSchema, Record
 from dpforest.errors import DataValidationError
+from dpforest.synth import generate_preset
 from dpforest.tree import (
+    MIN_DOMAIN_WIDTH,
     ContinuousSplit,
     DiscreteSplit,
     Leaf,
@@ -19,6 +21,92 @@ from dpforest.tree import (
 )
 
 from conftest import CountingDataset
+
+
+def reference_build_tree(schema, depth, rng):
+    """The draw that scans every feature at each node, kept as the reference.
+
+    Bounds and spent discrete features live in state shared by the whole
+    walk and restored after each subtree. A tree drawn by ``build_tree``
+    must equal this one and leave the random stream in the same state.
+    """
+    bounds = {f.name: (f.lower, f.upper) for f in schema.continuous_features()}
+    unused_discrete = {f.name for f in schema.discrete_features()}
+
+    def grow(level):
+        if level == depth:
+            return Leaf()
+        candidates = []
+        for feat in schema.features:
+            if isinstance(feat, ContinuousFeature):
+                lo, hi = bounds[feat.name]
+                if hi - lo > MIN_DOMAIN_WIDTH:
+                    candidates.append(feat)
+            elif feat.name in unused_discrete:
+                candidates.append(feat)
+        if not candidates:
+            return Leaf()
+        feat = candidates[int(rng.integers(len(candidates)))]
+        if isinstance(feat, ContinuousFeature):
+            lo, hi = bounds[feat.name]
+            split = float(rng.uniform(lo, hi))
+            while not lo < split < hi:
+                split = float(rng.uniform(lo, hi))
+            bounds[feat.name] = (lo, split)
+            below = grow(level + 1)
+            bounds[feat.name] = (split, hi)
+            at_or_above = grow(level + 1)
+            bounds[feat.name] = (lo, hi)
+            return ContinuousSplit(feat.name, split, below, at_or_above)
+        unused_discrete.remove(feat.name)
+        children = {value: grow(level + 1) for value in feat.values}
+        unused_discrete.add(feat.name)
+        return DiscreteSplit(feat.name, children)
+
+    return grow(0)
+
+
+def _schema(*features, labels=("x", "y")):
+    return FeatureSchema(features=features, class_labels=labels)
+
+
+REFERENCE_DRAWS = {
+    "synthc-depth-12": (
+        generate_preset("SynthC", 20, np.random.default_rng(0)).schema, 12),
+    "discrete-only": (_schema(
+        DiscreteFeature("p", ("a", "b")),
+        DiscreteFeature("q", ("a", "b", "c", "d")),
+        DiscreteFeature("r", ("a", "b", "c")),
+    ), 4),
+    "mixed-three-class": (_schema(
+        ContinuousFeature("x", 0.0, 10.0),
+        ContinuousFeature("y", -1.0, 1.0),
+        DiscreteFeature("colour", ("red", "green", "blue")),
+        DiscreteFeature("size", ("s", "m")),
+        labels=("A", "B", "C"),
+    ), 7),
+    # never a candidate: narrower than MIN_DOMAIN_WIDTH from the start
+    "narrower-than-min-width": (_schema(
+        ContinuousFeature("tiny", 0.0, 0.5 * MIN_DOMAIN_WIDTH),
+        DiscreteFeature("d", ("a", "b", "c")),
+        ContinuousFeature("wide", 0.0, 1.0),
+    ), 6),
+    # a candidate at the root that runs out a few splits down each path
+    "narrows-below-min-width": (_schema(
+        DiscreteFeature("d", ("a", "b")),
+        ContinuousFeature("thin", 0.0, 3e-12),
+    ), 8),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_DRAWS))
+def test_build_tree_matches_the_reference_draw(case):
+    schema, depth = REFERENCE_DRAWS[case]
+    for seed in range(4):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        tree = build_tree(schema, depth, ours)
+        assert node_to_dict(tree) == node_to_dict(reference_build_tree(schema, depth, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_expected_untested_values():
@@ -189,6 +277,16 @@ def test_leaf_assignments_include_empty_leaves(mixed_dataset):
     assert len(leaves) == sum(1 for _ in iter_leaves(tree))
     assert sum(sizes) == len(mixed_dataset)
     assert any(sizes == 0)  # 60 records cannot fill 64+ leaves
+
+
+def test_leaf_assignments_list_every_leaf_in_construction_order():
+    rng = np.random.default_rng(5)
+    data = generate_preset("SynthC", 50, rng)
+    tree = build_tree(data.schema, 12, rng)
+    leaves, _ = leaf_assignments(tree, data)
+    expected = list(iter_leaves(tree))
+    assert len(leaves) == len(expected)
+    assert all(ours is theirs for ours, theirs in zip(leaves, expected))
 
 
 def test_serialization_round_trip(mixed_schema):
