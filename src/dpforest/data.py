@@ -141,9 +141,7 @@ class FeatureSchema:
             raise DataValidationError(f"schema is missing key {missing}") from None
         if not isinstance(raw_features, list):
             raise DataValidationError("schema 'features' must be a list")
-        features: list[FeatureSpec] = []
-        for raw in raw_features:
-            features.append(_feature_from_dict(raw))
+        features = tuple(map(_feature_from_dict, raw_features))
         if not isinstance(class_labels, list) or not all(
             isinstance(c, str) for c in class_labels
         ):
@@ -151,7 +149,7 @@ class FeatureSchema:
         if not isinstance(label_column, str):
             raise DataValidationError("schema 'label_column' must be a string")
         return cls(
-            features=tuple(features),
+            features=features,
             class_labels=tuple(class_labels),
             label_column=label_column,
         )
@@ -165,13 +163,9 @@ def _feature_from_dict(raw) -> FeatureSpec:
     if not isinstance(name, str):
         raise DataValidationError("feature 'name' must be a string")
     if kind == "continuous":
-        lower, upper = raw.get("lower"), raw.get("upper")
-        for bound, value in (("lower", lower), ("upper", upper)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataValidationError(
-                    f"feature {name!r}: {bound!r} must be a number"
-                )
-        return ContinuousFeature(name, float(lower), float(upper))
+        lower, upper = (finite_number(raw.get(bound), f"feature {name!r}: {bound!r}")
+                        for bound in ("lower", "upper"))
+        return ContinuousFeature(name, lower, upper)
     if kind == "discrete":
         values = raw.get("values")
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
@@ -182,9 +176,22 @@ def _feature_from_dict(raw) -> FeatureSpec:
     raise DataValidationError(f"feature {name!r}: unknown kind {kind!r}")
 
 
+def finite_number(value, what: str) -> float:
+    """A JSON number as a finite float; ``what`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataValidationError(f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the largest double
+        number = math.inf
+    if not math.isfinite(number):
+        raise DataValidationError(f"{what} must be finite")
+    return number
+
+
 @contextmanager
 def _read_utf8(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a text file for reading; bytes that are not UTF-8 are a data error."""
+    """Open a text file; bytes that are not UTF-8 and bad CSV are data errors."""
     with open(path, "r", encoding="utf-8", newline=newline) as handle:
         try:
             yield handle
@@ -193,21 +200,24 @@ def _read_utf8(path: str, newline: str | None = None) -> Iterator[TextIO]:
                 f"{path}: not valid UTF-8 ({exc.reason}, "
                 f"byte 0x{exc.object[exc.start]:02x})"
             ) from None
+        except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+            raise DataValidationError(f"{path}: not valid CSV: {exc}") from None
 
 
 def read_json(path: str):
     """Parse a JSON file.
 
-    Bytes that are not UTF-8, malformed JSON and JSON nested too deeply are
-    data errors.
+    Bytes that are not UTF-8, malformed JSON, integers with more digits
+    than Python converts and JSON nested too deeply are data errors.
     """
     with _read_utf8(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}: not valid JSON: {exc}") from None
-        except RecursionError:
-            raise DataValidationError(f"{path}: JSON nested too deeply") from None
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or the integer digit limit
+        raise DataValidationError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DataValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def write_json(path: str, document) -> None:

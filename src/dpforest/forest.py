@@ -173,6 +173,9 @@ def build_forest(
     root_seq = np.random.SeedSequence(config.seed)
     partition_seq, *tree_seqs = root_seq.spawn(config.tau + 1)
 
+    # each tree's records, what each of its queries may spend, and the
+    # ledger entries (scope, exact epsilon) that account for all trees
+    epsilon_exact = Fraction(config.epsilon)
     if config.budget_mode == "disjoint":
         blocks = partition_disjoint(
             data, config.tau, np.random.default_rng(partition_seq)
@@ -180,9 +183,11 @@ def build_forest(
         # cut lazily, so one tree's subset is alive at a time
         subsets = (data.subset(block) for block in blocks)
         epsilon_per_query = config.epsilon
+        spends = [(f"tree/{i}", epsilon_exact) for i in range(config.tau)]
     else:
         subsets = (data,) * config.tau
         epsilon_per_query = config.epsilon / config.tau
+        spends = [("training-data", epsilon_exact / config.tau)] * config.tau
 
     trees, per_tree = [], []
     for tree_seq, subset in zip(tree_seqs, subsets):
@@ -198,14 +203,8 @@ def build_forest(
         if collect_diagnostics:
             per_tree.append(diagnostics)
 
-    epsilon_exact = Fraction(config.epsilon)
-    if config.budget_mode == "disjoint":
-        for i in range(config.tau):
-            ledger.record(f"tree/{i}", epsilon_exact)
-    else:
-        share = epsilon_exact / config.tau
-        for _ in range(config.tau):
-            ledger.record("training-data", share)
+    for scope, spend in spends:
+        ledger.record(scope, spend)
     if ledger.composed_cost() != epsilon_exact or not ledger.within_budget():
         raise InternalInvariantError(
             f"privacy accounting drifted: composed cost {ledger.composed_cost()} "

@@ -17,7 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import ContinuousFeature, Dataset, FeatureSchema, FeatureSpec, Record
+from .data import (ContinuousFeature, Dataset, FeatureSchema, FeatureSpec, Record,
+                   finite_number)
 from .errors import DataValidationError
 
 # continuous domains narrower than this are numerically exhausted
@@ -110,40 +111,33 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    bounds = {f.name: (f.lower, f.upper) for f in schema.continuous_features()}
-    unused_discrete = {f.name for f in schema.discrete_features()}
 
-    def grow(level: int) -> TreeNode:
-        if level == depth:
+    # candidates: (feature, lower, upper) for each usable feature in schema
+    # order, a narrowed domain in its feature's place; None bounds if discrete
+    def grow(level: int, candidates: list[tuple]) -> TreeNode:
+        if level == depth or not candidates:
             return Leaf()
-        candidates = []
-        for feat in schema.features:
-            if isinstance(feat, ContinuousFeature):
-                lo, hi = bounds[feat.name]
-                if hi - lo > MIN_DOMAIN_WIDTH:
-                    candidates.append(feat)
-            elif feat.name in unused_discrete:
-                candidates.append(feat)
-        if not candidates:
-            return Leaf()
-        feat = candidates[int(rng.integers(len(candidates)))]
-        if isinstance(feat, ContinuousFeature):
-            lo, hi = bounds[feat.name]
+        i = int(rng.integers(len(candidates)))
+        feat, lo, hi = candidates[i]
+        head, tail = candidates[:i], candidates[i + 1:]
+        if not isinstance(feat, ContinuousFeature):
+            rest = head + tail
+            return DiscreteSplit(feat.name, {value: grow(level + 1, rest)
+                                             for value in feat.values})
+        split = float(rng.uniform(lo, hi))
+        while not lo < split < hi:  # guard against landing on an endpoint
             split = float(rng.uniform(lo, hi))
-            while not lo < split < hi:  # guard against landing on an endpoint
-                split = float(rng.uniform(lo, hi))
-            bounds[feat.name] = (lo, split)
-            below = grow(level + 1)
-            bounds[feat.name] = (split, hi)
-            at_or_above = grow(level + 1)
-            bounds[feat.name] = (lo, hi)
-            return ContinuousSplit(feat.name, split, below, at_or_above)
-        unused_discrete.remove(feat.name)
-        children = {value: grow(level + 1) for value in feat.values}
-        unused_discrete.add(feat.name)
-        return DiscreteSplit(feat.name, children)
+        children = []
+        for lower, upper in ((lo, split), (split, hi)):
+            narrowed = [(feat, lower, upper)] if upper - lower > MIN_DOMAIN_WIDTH else []
+            children.append(grow(level + 1, head + narrowed + tail))
+        return ContinuousSplit(feat.name, split, *children)
 
-    return grow(0)
+    return grow(0, [
+        (f, f.lower, f.upper) if isinstance(f, ContinuousFeature) else (f, None, None)
+        for f in schema.features
+        if not isinstance(f, ContinuousFeature) or f.upper - f.lower > MIN_DOMAIN_WIDTH
+    ])
 
 
 def route_record(root: TreeNode, record: Record) -> Leaf:
@@ -186,7 +180,9 @@ def leaf_assignments(root: TreeNode, data: Dataset) -> tuple[list[Leaf], np.ndar
     stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(len(data)))]
     while stack:
         node, idx = stack.pop()
-        if isinstance(node, Leaf):
+        if not idx.size:  # no record gets here: only its leaves are listed
+            leaves.extend(iter_leaves(node))
+        elif isinstance(node, Leaf):
             leaf_ids[idx] = len(leaves)
             leaves.append(node)
         elif isinstance(node, ContinuousSplit):
@@ -262,10 +258,6 @@ def _node_from_dict(obj, features: dict[str, FeatureSpec], labels: set[str],
     if not isinstance(obj, dict):
         raise DataValidationError("tree node must be a JSON object")
     kind = obj.get("kind")
-    if kind in ("split_cont", "split_disc"):
-        if depth < 1:
-            raise DataValidationError("tree is nested deeper than the model depth")
-        depth -= 1
     if kind == "leaf":
         label = obj.get("label")
         if not isinstance(label, str) or label not in labels:
@@ -273,6 +265,9 @@ def _node_from_dict(obj, features: dict[str, FeatureSpec], labels: set[str],
         return Leaf(label=label)
     if kind not in ("split_cont", "split_disc"):
         raise DataValidationError(f"unknown tree node kind {kind!r}")
+    if depth < 1:
+        raise DataValidationError("tree is nested deeper than the model depth")
+    depth -= 1
     feature = obj.get("feature")
     if not isinstance(feature, str):
         raise DataValidationError("tree node feature name must be a string")
@@ -282,14 +277,9 @@ def _node_from_dict(obj, features: dict[str, FeatureSpec], labels: set[str],
     if kind == "split_cont":
         if not isinstance(spec, ContinuousFeature):
             raise DataValidationError(f"feature {feature!r} is not continuous")
-        split = obj.get("split")
-        if isinstance(split, bool) or not isinstance(split, (int, float)):
-            raise DataValidationError(f"split for {feature!r} must be a number")
-        if not math.isfinite(float(split)):
-            raise DataValidationError(f"split for {feature!r} must be finite")
         return ContinuousSplit(
             feature,
-            float(split),
+            finite_number(obj.get("split"), f"split for {feature!r}"),
             _node_from_dict(obj.get("below"), features, labels, depth),
             _node_from_dict(obj.get("at_or_above"), features, labels, depth),
         )

@@ -298,6 +298,77 @@ def test_deeply_nested_schema_file_exits_two(workspace, tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_csv_cell_over_the_field_limit_exits_two(workspace, tmp_path, capsys, command):
+    model_path = tmp_path / "model.json"
+    if command == "predict":
+        assert main([
+            "train", "--data", str(workspace["data"]), "--schema",
+            str(workspace["schema"]), "--epsilon", "1.0", "--trees", "2",
+            "--out", str(model_path),
+        ]) == 0
+    header, first, rest = workspace["data"].read_text(encoding="utf-8").split("\n", 2)
+    big = tmp_path / "big.csv"
+    # 200,000 more characters in the first row's label cell
+    big.write_text(f"{header}\n{first}{'0' * 200_000}\n{rest}", encoding="utf-8")
+    flags = ["--data", str(big), "--schema", str(workspace["schema"]), "--epsilon", "1.0",
+             "--trees", "2"]
+    argv = {
+        "train": ["train", *flags, "--out", str(tmp_path / "m.json")],
+        "eval": ["eval", *flags, "--folds", "2", "--repeats", "1",
+                 "--report", str(tmp_path / "r.json")],
+        "predict": ["predict", "--model", str(model_path), "--data", str(big),
+                    "--out", str(tmp_path / "o.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {big}: ") and err.count("\n") == 1
+    assert "field larger than field limit" in err
+
+
+# beyond the largest double, and beyond the digits Python converts to int
+TOO_LARGE = "1" + "0" * 400
+TOO_LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command,number,message", [
+    ("depth", TOO_LARGE, "feature 'f0': 'upper' must be finite"),
+    ("train", TOO_LARGE, "feature 'f0': 'upper' must be finite"),
+    ("predict", TOO_LARGE, "split for 'f"),
+    ("depth", TOO_LONG, "not valid JSON: Exceeds the limit"),
+    ("predict", TOO_LONG, "not valid JSON: Exceeds the limit"),
+], ids=["depth-large-bound", "train-large-bound", "predict-large-split",
+        "depth-long-bound", "predict-long-split"])
+def test_numbers_a_double_cannot_hold_exit_two(workspace, tmp_path, capsys, command,
+                                               number, message):
+    bad = tmp_path / "bad.json"
+    if command == "predict":
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(workspace["data"]), "--schema",
+            str(workspace["schema"]), "--epsilon", "1.0", "--trees", "2",
+            "--seed", "3", "--out", str(model_path),
+        ]) == 0
+        document = json.loads(model_path.read_text(encoding="utf-8"))
+        document["trees"][0]["split"] = "NUMBER"  # SynthF roots split continuously
+        argv = ["predict", "--model", str(bad), "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "o.csv")]
+    else:
+        document = json.loads(workspace["schema"].read_text(encoding="utf-8"))
+        document["features"][0]["upper"] = "NUMBER"
+        argv = {"depth": ["depth", "--schema", str(bad)],
+                "train": ["train", "--data", str(workspace["data"]), "--schema", str(bad),
+                          "--epsilon", "1.0", "--out", str(tmp_path / "m.json")]}[command]
+    bad.write_text(json.dumps(document).replace('"NUMBER"', number), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command,depth,count", [
     ("train", 40, f"{100 * 2**40}"),
     ("eval", 40, f"{100 * 2**40}"),
