@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpforest.mechanism import (
+    AuditReport,
     exp_mechanism_distribution,
     exp_mechanism_log_distribution,
     exp_mechanism_select,
@@ -18,6 +20,120 @@ from dpforest.mechanism import (
 )
 
 from conftest import mechanism_probs_oracle
+
+
+def reference_leaf_log_weights(counts, epsilon, sensitivity_mode):
+    """One leaf's 0/1 scores, vote margin and log weights, written out in full.
+
+    Kept as the reference for ``majority_label_query`` and
+    ``neighbor_ratio_audit``: the same float operations in the same order,
+    with no validation, so the package's release, diagnostics and audit
+    must match it bit for bit.
+    """
+    top = max(counts.values())
+    scores = {label: 1.0 if top and count == top else 0.0
+              for label, count in counts.items()}
+    first, second = sorted(counts.values(), reverse=True)[:2]
+    gap = first - second
+    log_sensitivity = -float(gap) * epsilon
+    top_score = max(scores.values())
+    log_weights = {}
+    for label, score in scores.items():
+        shortfall = top_score - score
+        if shortfall == 0.0:
+            log_weights[label] = 0.0
+        elif sensitivity_mode == "smooth":
+            log_exponent = math.log(epsilon * shortfall / 2.0) - log_sensitivity
+            log_weights[label] = (-math.inf if log_exponent > 709.0
+                                  else -math.exp(log_exponent))
+        else:
+            log_weights[label] = -epsilon * shortfall / (2.0 * 1.0)
+    return scores, gap, log_weights
+
+
+def reference_majority_label_query(counts, epsilon, rng, sensitivity_mode):
+    """The released label and the diagnostics as a tuple of their fields."""
+    scores, gap, log_weights = reference_leaf_log_weights(
+        counts, epsilon, sensitivity_mode)
+    weights = {label: math.exp(lw) for label, lw in log_weights.items()}
+    threshold = rng.random() * math.fsum(weights.values())
+    acc = 0.0
+    for label, weight in weights.items():
+        acc += weight
+        if threshold < acc:
+            break
+    preferred = tuple(lab for lab, s in scores.items() if s == 1.0)
+    return label, (sum(counts.values()), gap, math.exp(-float(gap) * epsilon),
+                   preferred, bool(preferred) and label not in preferred)
+
+
+def reference_neighbor_ratio_audit(counts, epsilon, sensitivity_mode):
+    def log_distribution(table):
+        _, _, log_weights = reference_leaf_log_weights(table, epsilon, sensitivity_mode)
+        log_total = math.log(math.fsum(math.exp(lw) for lw in log_weights.values()))
+        return {label: lw - log_total for label, lw in log_weights.items()}
+
+    base = log_distribution(counts)
+    per_label = {label: 0.0 for label in counts}
+    max_ratio, worst = 0.0, None
+    for change, step in (("add", 1), ("remove", -1)):
+        for changed in counts:
+            if counts[changed] + step < 0:
+                continue
+            neighbor = dict(counts)
+            neighbor[changed] += step
+            other = log_distribution(neighbor)
+            for label in counts:
+                a, b = base[label], other[label]
+                ratio = math.inf if math.isinf(a) and math.isinf(b) else abs(a - b)
+                per_label[label] = max(per_label[label], ratio)
+                if ratio > max_ratio:
+                    max_ratio = ratio
+                    worst = {"change": change, "label": changed, "counts": neighbor}
+    return AuditReport(epsilon, sensitivity_mode, max_ratio, worst, per_label)
+
+
+REFERENCE_COUNTS = [
+    # no records
+    {"a": 0, "b": 0},
+    {"a": 0, "b": 0, "c": 0},
+    {"a": 0, "b": 0, "c": 0, "d": 0},
+    # ties at the top
+    {"a": 3, "b": 3},
+    {"a": 5, "b": 5, "c": 1},
+    {"a": 0, "b": 7, "c": 7, "d": 2},
+    {"a": 4, "b": 4, "c": 4, "d": 4},
+    # one leader
+    {"a": 1, "b": 0},
+    {"a": 9, "b": 4},
+    {"a": 2, "b": 30, "c": 1},
+    {"a": 0, "b": 0, "c": 0, "d": 1},
+    {"a": 6, "b": 1, "c": 5, "d": 0},
+    # wide margins
+    {"a": 0, "b": 17},
+    {"a": 60, "b": 0, "c": 3},
+    {"a": 150, "b": 2, "c": 0, "d": 1},
+    {"a": 400, "b": 0},
+    {"a": 3, "b": 403, "c": 0},
+    {"a": 1, "b": 0, "c": 401, "d": 1},
+]
+REFERENCE_EPSILONS = (1e-3, 0.04, 1.0, 30.0)
+
+
+@pytest.mark.parametrize("mode", ["smooth", "global"])
+@pytest.mark.parametrize("epsilon", REFERENCE_EPSILONS)
+def test_leaf_query_matches_the_reference(mode, epsilon):
+    ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+    for counts in REFERENCE_COUNTS:
+        for _ in range(5):
+            label, diag = majority_label_query(counts, epsilon, ours,
+                                               sensitivity_mode=mode)
+            assert (label, dataclasses.astuple(diag)) == reference_majority_label_query(
+                counts, epsilon, theirs, mode)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        report = neighbor_ratio_audit(counts, epsilon, sensitivity_mode=mode)
+        assert report.to_dict() == reference_neighbor_ratio_audit(
+            counts, epsilon, mode).to_dict()
 
 
 def test_label_gap():
