@@ -73,6 +73,8 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
 
 def _cmd_gen(args) -> int:
     started = time.monotonic()
+    if args.seed < 0:
+        raise _UsageError("seed must be a non-negative integer")
     rng = np.random.default_rng(args.seed)
     if args.preset is not None:
         if args.informative is not None or args.random is not None:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .data import Dataset, partition_disjoint
+from .errors import DataValidationError
 from .forest import (
     ForestModel,
     TrainConfig,
@@ -184,8 +185,10 @@ def cross_validate(
     ``partition_disjoint``, and trains one forest per held-out fold with a
     fresh seed derived from ``config.seed``. Binary tasks
     additionally report AUC and F1 for the least frequent class of each
-    test fold; multiclass tasks report accuracy only. Each forest's leaf
-    diagnostics are summarized as it is trained, not kept to the end.
+    test fold, so a binary test fold that holds one class is a data error,
+    raised before that fold's forest is trained; multiclass tasks report
+    accuracy only. Each forest's leaf diagnostics are summarized as it is
+    trained, not kept to the end.
     """
     n = len(data)
     if folds < 2:
@@ -204,10 +207,17 @@ def cross_validate(
 
     def trained_diagnostics() -> Iterator[tuple[QueryDiagnostics, ...]]:
         # trains and scores every cell, then yields its trees' diagnostics
-        for repeat_seq in master.spawn(repeats):
+        for repeat, repeat_seq in enumerate(master.spawn(repeats)):
             shuffle_seq, *cell_seqs = repeat_seq.spawn(folds + 1)
             blocks = partition_disjoint(data, folds, np.random.default_rng(shuffle_seq))
             for fold_index in range(folds):
+                test = data.subset(blocks[fold_index])
+                truth_codes = test.label_codes
+                if binary and np.all(truth_codes == truth_codes[0]):
+                    raise DataValidationError(
+                        f"test fold {fold_index + 1} of {folds} in repeat "
+                        f"{repeat + 1} holds only class "
+                        f"{class_labels[truth_codes[0]]!r}; AUC needs both classes")
                 train_idx = np.concatenate(
                     [blocks[i] for i in range(folds) if i != fold_index]
                 )
@@ -218,8 +228,6 @@ def cross_validate(
                     cell_config,
                     collect_diagnostics=True,
                 )
-                test = data.subset(blocks[fold_index])
-                truth_codes = test.label_codes
                 votes = vote_matrix(model, test)
                 # argmax takes the first maximum, which is the schema-order tie break
                 predicted_codes = np.argmax(votes, axis=1)

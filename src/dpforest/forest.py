@@ -86,8 +86,8 @@ class TrainConfig:
             raise ValueError(f"unknown sensitivity mode {self.sensitivity_mode!r}")
         if self.budget_mode not in BUDGET_MODES:
             raise ValueError(f"unknown budget mode {self.budget_mode!r}")
-        if not _is_int(self.seed):
-            raise ValueError("seed must be an integer")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass

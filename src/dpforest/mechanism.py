@@ -37,7 +37,8 @@ MAX_AUDIT_RECORDS = 1000  # most records neighbor_ratio_audit enumerates around
 _MAX_FINITE_EXPONENT_LOG = 709.0
 
 
-def _check_counts(counts: Mapping[str, int]) -> None:
+def _vote(counts: Mapping[str, int]) -> tuple[dict[str, float], int]:
+    """Checks the counts once; ``score_labels`` and ``label_gap`` from one sort."""
     if len(counts) < 2:
         raise ValueError("need counts for at least two labels")
     for label, value in counts.items():
@@ -45,6 +46,10 @@ def _check_counts(counts: Mapping[str, int]) -> None:
             raise ValueError(f"count for label {label!r} must be an integer")
         if value < 0:
             raise ValueError(f"count for label {label!r} is negative")
+    first, second = sorted(counts.values(), reverse=True)[:2]
+    scores = {label: 1.0 if first and count == first else 0.0
+              for label, count in counts.items()}
+    return scores, int(first) - int(second)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -54,9 +59,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 def label_gap(counts: Mapping[str, int]) -> int:
     """Margin of the vote: largest count minus second largest."""
-    _check_counts(counts)
-    first, second = sorted(counts.values(), reverse=True)[:2]
-    return int(first) - int(second)
+    return _vote(counts)[1]
 
 
 def local_sensitivity_at_distance(gap: int, distance: int) -> float:
@@ -97,11 +100,7 @@ def score_labels(counts: Mapping[str, int]) -> dict[str, float]:
     The labels tied for the largest count score 1. When no records are
     present every score is zero and selection degenerates to uniform.
     """
-    _check_counts(counts)
-    top = max(counts.values())
-    if top == 0:
-        return {label: 0.0 for label in counts}
-    return {label: 1.0 if count == top else 0.0 for label, count in counts.items()}
+    return _vote(counts)[0]
 
 
 def _log_weights(
@@ -114,7 +113,9 @@ def _log_weights(
 
     Shifting by the top score keeps every exponent non-positive, which is
     what makes the computation stable: the worst that can happen to a
-    trailing label is underflow to zero weight.
+    trailing label is underflow to zero weight. A log sensitivity of -inf
+    (a sensitivity below the double floor) gives every trailing label
+    weight zero.
     """
     if not scores:
         raise ValueError("scores must not be empty")
@@ -127,8 +128,8 @@ def _log_weights(
             raise ValueError("sensitivity is required")
         if not math.isfinite(sensitivity) or sensitivity <= 0.0:
             raise ValueError("sensitivity must be positive and finite")
-    elif not math.isfinite(log_sensitivity):
-        raise ValueError("log_sensitivity must be finite")
+    elif math.isnan(log_sensitivity) or log_sensitivity == math.inf:
+        raise ValueError("log_sensitivity must be finite or -inf")
 
     top = max(scores.values())
     out = {}
@@ -137,7 +138,11 @@ def _log_weights(
         if shortfall == 0.0:
             out[label] = 0.0
         elif log_sensitivity is not None:
-            log_exponent = math.log(epsilon * shortfall / 2.0) - log_sensitivity
+            product = epsilon * shortfall / 2.0
+            # a product that underflows to zero is taken apart in log space
+            log_product = math.log(product) if product else (
+                math.log(epsilon) + math.log(shortfall) - math.log(2.0))
+            log_exponent = log_product - log_sensitivity
             if log_exponent > _MAX_FINITE_EXPONENT_LOG:
                 out[label] = -math.inf
             else:
@@ -145,6 +150,25 @@ def _log_weights(
         else:
             out[label] = -epsilon * shortfall / (2.0 * sensitivity)
     return out
+
+
+def _normalize(log_weights: dict[str, float]) -> dict[str, float]:
+    """Log probabilities from log weights."""
+    log_total = math.log(math.fsum(math.exp(lw) for lw in log_weights.values()))
+    return {label: lw - log_total for label, lw in log_weights.items()}
+
+
+def _draw(log_weights: dict[str, float], rng: np.random.Generator) -> str:
+    """One label drawn with one ``rng.random()``, walking labels in order."""
+    weights = [math.exp(lw) for lw in log_weights.values()]
+    threshold = rng.random() * math.fsum(weights)
+    acc = 0.0
+    for label, weight in zip(log_weights, weights):
+        acc += weight
+        if threshold < acc:
+            return label
+    # float accumulation can leave threshold == total; fall to the last label
+    return label
 
 
 def exp_mechanism_distribution(
@@ -173,10 +197,7 @@ def exp_mechanism_log_distribution(
     A label whose exponent magnitude exceeds the largest double reports
     -inf; its probability is beyond anything a float could express.
     """
-    log_w = _log_weights(scores, sensitivity, epsilon, log_sensitivity)
-    total = math.fsum(math.exp(lw) for lw in log_w.values())
-    log_total = math.log(total)
-    return {label: lw - log_total for label, lw in log_w.items()}
+    return _normalize(_log_weights(scores, sensitivity, epsilon, log_sensitivity))
 
 
 def exp_mechanism_select(
@@ -195,20 +216,7 @@ def exp_mechanism_select(
     over ``sensitivity``; pass it when the sensitivity itself would
     underflow a double.
     """
-    log_w = _log_weights(scores, sensitivity, epsilon, log_sensitivity)
-    weights = {label: math.exp(lw) for label, lw in log_w.items()}
-    total = math.fsum(weights.values())
-    threshold = rng.random() * total
-    acc = 0.0
-    last = None
-    for label, weight in weights.items():
-        acc += weight
-        last = label
-        if threshold < acc:
-            return label
-    # float accumulation can leave threshold == total; fall to the last label
-    assert last is not None
-    return last
+    return _draw(_log_weights(scores, sensitivity, epsilon, log_sensitivity), rng)
 
 
 @dataclass(frozen=True)
@@ -231,17 +239,20 @@ class QueryDiagnostics:
         return self.record_count == 0
 
 
-def _query_parameters(
-    counts: Mapping[str, int], epsilon: float, sensitivity_mode: str
-) -> tuple[dict[str, float], float | None, float | None, int]:
-    """Scores plus sensitivity arguments for one majority query."""
-    if sensitivity_mode not in SENSITIVITY_MODES:
-        raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
-    scores = score_labels(counts)
-    gap = label_gap(counts)
+def _leaf_log_weights(
+    scores: dict[str, float], log_smooth: float, epsilon: float, sensitivity_mode: str
+) -> dict[str, float]:
+    """One leaf's log selection weights under a sensitivity mode.
+
+    ``log_smooth`` is the leaf's log smooth sensitivity. The release draws
+    from these weights and the audit normalises them, so the audit
+    measures exactly what the release samples.
+    """
     if sensitivity_mode == "smooth":
-        return scores, None, log_smooth_sensitivity(gap, epsilon), gap
-    return scores, GLOBAL_SENSITIVITY, None, gap
+        return _log_weights(scores, None, epsilon, log_smooth)
+    if sensitivity_mode == "global":
+        return _log_weights(scores, GLOBAL_SENSITIVITY, epsilon, None)
+    raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
 
 
 def majority_label_query(
@@ -258,17 +269,14 @@ def majority_label_query(
     true winners, and whether the release missed them). The diagnostics are
     for offline analysis only.
     """
-    scores, sensitivity, log_sens, gap = _query_parameters(
-        counts, epsilon, sensitivity_mode
-    )
-    label = exp_mechanism_select(
-        scores, sensitivity, epsilon, rng, log_sensitivity=log_sens
-    )
+    scores, gap = _vote(counts)
+    log_smooth = log_smooth_sensitivity(gap, epsilon)
+    label = _draw(_leaf_log_weights(scores, log_smooth, epsilon, sensitivity_mode), rng)
     preferred = tuple(lab for lab, s in scores.items() if s == 1.0)
     diag = QueryDiagnostics(
         record_count=int(sum(counts.values())),
         gap=gap,
-        smooth_sensitivity=smooth_sensitivity(gap, epsilon),
+        smooth_sensitivity=math.exp(log_smooth),
         preferred_labels=preferred,
         flipped=bool(preferred) and label not in preferred,
     )
@@ -300,17 +308,6 @@ class AuditReport:
         }
 
 
-def _audit_log_distribution(
-    counts: Mapping[str, int], epsilon: float, sensitivity_mode: str
-) -> dict[str, float]:
-    scores, sensitivity, log_sens, _ = _query_parameters(
-        counts, epsilon, sensitivity_mode
-    )
-    return exp_mechanism_log_distribution(
-        scores, sensitivity, epsilon, log_sensitivity=log_sens
-    )
-
-
 def neighbor_ratio_audit(
     counts: Mapping[str, int],
     epsilon: float,
@@ -327,8 +324,13 @@ def neighbor_ratio_audit(
 
     Ratios whose magnitude exceeds the double range are reported as inf.
     """
-    _check_counts(counts)
-    _check_epsilon(epsilon)
+    def log_distribution(table: Mapping[str, int]) -> dict[str, float]:
+        scores, gap = _vote(table)
+        log_smooth = log_smooth_sensitivity(gap, epsilon)
+        return _normalize(
+            _leaf_log_weights(scores, log_smooth, epsilon, sensitivity_mode))
+
+    base = log_distribution(counts)
     total = sum(counts.values())
     if total > MAX_AUDIT_RECORDS:
         raise ValueError(
@@ -336,7 +338,6 @@ def neighbor_ratio_audit(
             "the audit enumerates neighbours exhaustively"
         )
 
-    base = _audit_log_distribution(counts, epsilon, sensitivity_mode)
     per_label = {label: 0.0 for label in counts}
     max_ratio = 0.0
     worst = None
@@ -346,9 +347,7 @@ def neighbor_ratio_audit(
                 continue
             neighbor_counts = dict(counts)
             neighbor_counts[changed_label] += step
-            other = _audit_log_distribution(
-                neighbor_counts, epsilon, sensitivity_mode
-            )
+            other = log_distribution(neighbor_counts)
             for label in counts:
                 a = base[label]
                 b = other[label]

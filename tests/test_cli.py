@@ -163,6 +163,64 @@ def test_usage_errors_exit_one(workspace, tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
     assert main(["gen", "--out", "x.csv", "--schema-out", "y.json",
                  "--preset", "SynthA", "--informative", "3"]) == 1
+    capsys.readouterr()
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--seed", "-1", "--out", str(tmp_path / "m.json"),
+    ]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert main(["gen", "--preset", "SynthA", "--n", "10", "--seed", "-1",
+                 "--out", str(tmp_path / "x.csv"),
+                 "--schema-out", str(tmp_path / "y.json")]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,epsilon", [
+    ("train", "1e308"), ("train", "1.7e308"), ("train", "5e-324"), ("audit", "1e308"),
+])
+def test_smooth_mode_takes_extreme_epsilons(workspace, tmp_path, capsys, command,
+                                            epsilon):
+    # -gap * epsilon overflows to -inf at the top, epsilon / 2 underflows at the bottom
+    if command == "audit":
+        assert main(["audit", "--counts", "A:5,B:1", "--epsilon", epsilon,
+                     "--sensitivity", "smooth"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["per_label_ratios"] == {"A": 0.0, "B": "inf"}
+        return
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--epsilon", epsilon, "--trees", "3", "--sensitivity", "smooth",
+        "--out", str(model_path), "--diagnostics", str(tmp_path / "diag.json"),
+    ]) == 0
+    assert load_model(str(model_path)).config.epsilon == float(epsilon)
+    diag = json.loads((tmp_path / "diag.json").read_text(encoding="utf-8"))
+    # every occupied leaf releases its majority at the top, flips at random below
+    if float(epsilon) > 1.0:
+        assert diag["flip_fraction"] == 0.0
+    else:
+        assert diag["mean_smooth_sensitivity"] == 1.0
+
+
+def test_binary_eval_with_a_one_class_test_fold_exits_two(workspace, tmp_path, capsys):
+    header, *rows = workspace["data"].read_text(encoding="utf-8").splitlines()[:21]
+    # one c1 among 20 rows: at most one of five folds can hold both classes
+    rows = [row.rsplit(",", 1)[0] + (",c1" if i == 0 else ",c0")
+            for i, row in enumerate(rows)]
+    data = tmp_path / "one-c1.csv"
+    data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main([
+        "eval", "--data", str(data), "--schema", str(workspace["schema"]),
+        "--epsilon", "1.0", "--trees", "2", "--folds", "5", "--repeats", "1",
+        "--report", str(report),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: test fold ") and err.count("\n") == 1
+    assert "in repeat 1 holds only class 'c0'" in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("flag", ["--data", "--model"])

@@ -1,11 +1,13 @@
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from dpforest.data import ContinuousFeature, Dataset, FeatureSchema
+from dpforest.errors import DataValidationError
 from dpforest.evaluation import (
     accuracy,
     auc,
@@ -275,6 +277,31 @@ def test_cross_validate_validation():
         cross_validate(data, config, folds=51, repeats=1)
     with pytest.raises(ValueError):
         cross_validate(data, config, folds=2, repeats=0)
+
+
+def test_cross_validate_refuses_a_one_class_binary_fold_before_training(monkeypatch):
+    import dpforest.evaluation
+
+    schema = FeatureSchema(
+        features=(ContinuousFeature("f", 0.0, 1.0),), class_labels=("c0", "c1"))
+    rng = np.random.default_rng(3)
+    data = Dataset(schema, {"f": rng.uniform(0, 1, size=20)}, np.array([1] + [0] * 19))
+    config = TrainConfig(epsilon=1.0, tau=2, depth_override=2, seed=4)
+    built = []
+    build = dpforest.evaluation.build_forest
+
+    def spy_build(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dpforest.evaluation, "build_forest", spy_build)
+    with pytest.raises(DataValidationError) as raised:
+        cross_validate(data, config, folds=5, repeats=1)
+    match = re.fullmatch(r"test fold (\d) of 5 in repeat 1 holds only class 'c0'; "
+                         r"AUC needs both classes", str(raised.value))
+    assert match is not None
+    # every earlier fold was trained and scored, the failing one was not
+    assert len(built) == int(match.group(1)) - 1
 
 
 def test_report_to_dict_is_json_ready():

@@ -50,7 +50,7 @@ def test_train_config_validation():
     for depth in (True, 2.0):
         with pytest.raises(ValueError, match="depth"):
             TrainConfig(epsilon=1.0, depth_override=depth)
-    for seed in (1.0, False, None):
+    for seed in (1.0, False, None, -1):
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(epsilon=1.0, seed=seed)
     integral = TrainConfig(epsilon=2)
@@ -266,6 +266,7 @@ def test_model_loader_rejects_bad_documents(small_data, tmp_path):
         ("tau", True, "model config: tau"),
         ("tau", 1.0, "model config: tau"),
         ("seed", 0.0, "model config: seed"),
+        ("seed", -1, "model config: seed must be a non-negative integer"),
         ("depth", None, "missing key 'depth'"),
     ]:
         bad_config = json.loads(json.dumps(one_tree))

@@ -116,6 +116,8 @@ REFERENCE_COUNTS = [
     {"a": 400, "b": 0},
     {"a": 3, "b": 403, "c": 0},
     {"a": 1, "b": 0, "c": 401, "d": 1},
+    # at epsilon 1 the neighbours fall either side of the exp(709) saturation
+    {"a": 0, "b": 709},
 ]
 REFERENCE_EPSILONS = (1e-3, 0.04, 1.0, 30.0)
 
@@ -232,6 +234,27 @@ def test_extreme_margins_are_stable():
     assert log_dist["b"] == -math.inf
 
 
+def test_smooth_mode_takes_every_positive_finite_epsilon():
+    # a sensitivity below the double floor leaves all the weight on the leader
+    dist = exp_mechanism_distribution({"a": 1.0, "b": 0.0}, None, 1.0,
+                                      log_sensitivity=-math.inf)
+    assert dist == {"a": 1.0, "b": 0.0}
+    counts = {"a": 5, "b": 1}
+    for epsilon in (1e308, 1.7e308):
+        label, diag = majority_label_query(counts, epsilon, np.random.default_rng(0))
+        assert (label, diag.smooth_sensitivity) == ("a", 0.0)
+        report = neighbor_ratio_audit(counts, epsilon)
+        assert report.per_label_ratios == {"a": 0.0, "b": math.inf}
+    # epsilon * shortfall / 2 underflows: the draw is uniform
+    log_dist = exp_mechanism_log_distribution(
+        {"a": 1.0, "b": 0.0}, None, 5e-324,
+        log_sensitivity=log_smooth_sensitivity(4, 5e-324))
+    assert log_dist == {"a": -math.log(2.0), "b": -math.log(2.0)}
+    _, diag = majority_label_query(counts, 5e-324, np.random.default_rng(0))
+    assert diag.smooth_sensitivity == 1.0
+    assert neighbor_ratio_audit(counts, 5e-324).max_log_ratio == 0.0
+
+
 def test_select_frequencies_match_distribution():
     scores = {"a": 1.0, "b": 0.0, "c": 0.0}
     epsilon, sensitivity = 1.0, math.exp(-1)
@@ -278,6 +301,10 @@ def test_mechanism_rejects_bad_arguments():
         exp_mechanism_select({"a": 1.0}, 1.0, float("nan"), rng)
     with pytest.raises(ValueError):
         exp_mechanism_select({"a": float("nan")}, 1.0, 1.0, rng)
+    for log_sensitivity in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="log_sensitivity"):
+            exp_mechanism_select({"a": 1.0, "b": 0.0}, None, 1.0, rng,
+                                 log_sensitivity=log_sensitivity)
 
 
 def test_majority_query_diagnostics():
