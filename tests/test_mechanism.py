@@ -138,6 +138,57 @@ def test_leaf_query_matches_the_reference(mode, epsilon):
             counts, epsilon, mode).to_dict()
 
 
+# one stream through repeated rows, as training sends them: the same table
+# again and again, as Python and as numpy integers, and empty tables between
+REPEATED_COUNTS = [
+    {"a": 0, "b": 0},
+    {"a": 0, "b": 0},
+    {"a": 4, "b": 1},
+    {"a": np.int64(4), "b": np.int64(1)},
+    {"a": 4, "b": 1},
+    {"a": 0, "b": 0},
+    {"b": 1, "a": 4},
+    {"a": 0, "b": 0, "c": 0},
+    {"a": 2, "b": 2, "c": 0},
+    {"a": np.int64(2), "b": 2, "c": np.int64(0)},
+    {"a": 2, "b": 2, "c": 0},
+    {"a": 0, "b": 0, "c": 0},
+    {"a": 0, "b": 0},
+    {"a": 0, "b": 900},
+    {"a": 0, "b": 900},
+]
+
+
+@pytest.mark.parametrize("mode", ["smooth", "global"])
+@pytest.mark.parametrize("epsilon", REFERENCE_EPSILONS)
+def test_leaf_query_matches_the_reference_on_repeated_rows(mode, epsilon):
+    ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(3):
+        for counts in REPEATED_COUNTS:
+            label, diag = majority_label_query(counts, epsilon, ours,
+                                               sensitivity_mode=mode)
+            assert type(diag.record_count) is int and type(diag.gap) is int
+            assert (label, dataclasses.astuple(diag)) == reference_majority_label_query(
+                counts, epsilon, theirs, mode)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_leaf_query_refuses_bad_counts_after_a_good_row():
+    rng = np.random.default_rng(0)
+    for mode in ("smooth", "global"):
+        majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode=mode)
+        for bad in ({"A": True, "B": 0}, {"A": 1.0, "B": 0}, {"A": 1, "B": -1}):
+            with pytest.raises(ValueError, match="count for label"):
+                majority_label_query(bad, 1.0, rng, sensitivity_mode=mode)
+        for epsilon in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                majority_label_query({"A": 1, "B": 0}, epsilon, rng,
+                                     sensitivity_mode=mode)
+    majority_label_query({"A": 1, "B": 0}, 1.0, rng)
+    with pytest.raises(ValueError, match="unknown sensitivity mode"):
+        majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode="other")
+
+
 def test_label_gap():
     assert label_gap({"a": 5, "b": 2}) == 3
     assert label_gap({"a": 2, "b": 2}) == 0

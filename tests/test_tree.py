@@ -96,6 +96,20 @@ REFERENCE_DRAWS = {
         DiscreteFeature("d", ("a", "b")),
         ContinuousFeature("thin", 0.0, 3e-12),
     ), 8),
+    # where the split's rounding matters: a width near the double limit, a
+    # narrow domain far from zero, and a range below zero
+    "wide-domain": (_schema(
+        ContinuousFeature("wide", -1e307, 1e307),
+        DiscreteFeature("d", ("a", "b")),
+    ), 8),
+    "narrow-offset-domain": (_schema(
+        ContinuousFeature("offset", 1e6, 1e6 + 1e-9),
+        ContinuousFeature("unit", 0.0, 1.0),
+    ), 2),
+    "negative-range": (_schema(
+        ContinuousFeature("neg", -7.5, -2.25),
+        ContinuousFeature("far", -3e12, -1e12),
+    ), 8),
 }
 
 
