@@ -19,6 +19,7 @@ regimes can pass the sensitivity in log space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -31,6 +32,8 @@ SENSITIVITY_MODES = ("smooth", "global")
 DEFAULT_SENSITIVITY_MODE = "smooth"
 
 MAX_AUDIT_RECORDS = 1000  # most records neighbor_ratio_audit enumerates around
+
+_LEAF_CACHE_SIZE = 1024  # distinct count rows whose derived weights are kept
 
 # exp(x) overflows a double just above 709.78; exponent magnitudes beyond
 # that saturate the corresponding weight at zero.
@@ -161,9 +164,14 @@ def _normalize(log_weights: dict[str, float]) -> dict[str, float]:
 def _draw(log_weights: dict[str, float], rng: np.random.Generator) -> str:
     """One label drawn with one ``rng.random()``, walking labels in order."""
     weights = [math.exp(lw) for lw in log_weights.values()]
-    threshold = rng.random() * math.fsum(weights)
+    return _walk(tuple(log_weights), weights, math.fsum(weights), rng)
+
+
+def _walk(labels, weights, total: float, rng: np.random.Generator) -> str:
+    """The label whose cumulative weight first exceeds ``rng.random() * total``."""
+    threshold = rng.random() * total
     acc = 0.0
-    for label, weight in zip(log_weights, weights):
+    for label, weight in zip(labels, weights):
         acc += weight
         if threshold < acc:
             return label
@@ -269,18 +277,45 @@ def majority_label_query(
     true winners, and whether the release missed them). The diagnostics are
     for offline analysis only.
     """
-    scores, gap = _vote(counts)
-    log_smooth = log_smooth_sensitivity(gap, epsilon)
-    label = _draw(_leaf_log_weights(scores, log_smooth, epsilon, sensitivity_mode), rng)
-    preferred = tuple(lab for lab, s in scores.items() if s == 1.0)
+    rows = tuple(counts.items())
+    # bool and float counts equal ints as keys, so only exact ints are cached
+    derive = (_cached_leaf_release if type(epsilon) is float
+              and all(type(count) is int for _, count in rows)
+              else _leaf_release)
+    labels, weights, total, record_count, gap, smooth, preferred = derive(
+        rows, epsilon, sensitivity_mode)
+    label = _walk(labels, weights, total, rng)
     diag = QueryDiagnostics(
-        record_count=int(sum(counts.values())),
+        record_count=record_count,
         gap=gap,
-        smooth_sensitivity=math.exp(log_smooth),
+        smooth_sensitivity=smooth,
         preferred_labels=preferred,
         flipped=bool(preferred) and label not in preferred,
     )
     return label, diag
+
+
+def _leaf_release(rows: tuple[tuple[str, int], ...], epsilon: float,
+                  sensitivity_mode: str) -> tuple:
+    """Everything one leaf query derives from its counts, checked.
+
+    The labels in order, their weights and the weights' total, then the
+    record count, gap, smooth sensitivity and preferred labels of the
+    diagnostics. Holds no label drawn and no diagnostics object.
+    """
+    counts = dict(rows)
+    scores, gap = _vote(counts)
+    log_smooth = log_smooth_sensitivity(gap, epsilon)
+    log_weights = _leaf_log_weights(scores, log_smooth, epsilon, sensitivity_mode)
+    weights = tuple(math.exp(lw) for lw in log_weights.values())
+    return (tuple(log_weights), weights, math.fsum(weights), int(sum(counts.values())),
+            gap, math.exp(log_smooth),
+            tuple(lab for lab, s in scores.items() if s == 1.0))
+
+
+# training repeats few distinct rows (most leaves are empty), so a bounded
+# cache serves nearly every query; a refused row raises and is not stored
+_cached_leaf_release = functools.lru_cache(maxsize=_LEAF_CACHE_SIZE)(_leaf_release)
 
 
 @dataclass(frozen=True)
