@@ -41,6 +41,11 @@ class ContinuousFeature:
                 f"feature {self.name!r}: lower bound {self.lower} must be "
                 f"strictly below upper bound {self.upper}"
             )
+        if not math.isfinite(self.upper - self.lower):
+            raise DataValidationError(
+                f"feature {self.name!r}: the width of [{self.lower}, {self.upper}] "
+                "overflows a double"
+            )
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,11 @@ def build_forest(
     else:
         subsets = (data,) * config.tau
         epsilon_per_query = config.epsilon / config.tau
+        if epsilon_per_query == 0.0:
+            raise ValueError(
+                f"epsilon {config.epsilon!r} split over {config.tau} trees rounds "
+                "to a per-query epsilon of 0.0"
+            )
         spends = [("training-data", epsilon_exact / config.tau)] * config.tau
 
     trees, per_tree = [], []

@@ -427,6 +427,53 @@ def test_numbers_a_double_cannot_hold_exit_two(workspace, tmp_path, capsys, comm
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_bounds_whose_width_overflows_a_double_exit_two(workspace, tmp_path, capsys,
+                                                        command):
+    # each bound is a finite double, but upper - lower is not
+    if command == "predict":
+        source = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(workspace["data"]), "--schema",
+            str(workspace["schema"]), "--epsilon", "1.0", "--trees", "2",
+            "--seed", "3", "--out", str(source),
+        ]) == 0
+    else:
+        source = workspace["schema"]
+    document = json.loads(source.read_text(encoding="utf-8"))
+    schema = document["schema"] if command == "predict" else document
+    schema["features"][0].update(lower=-1e308, upper=1e308)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(workspace["data"]), "--schema", str(bad),
+                  "--epsilon", "1.0", "--trees", "3", "--out", str(out)],
+        "eval": ["eval", "--data", str(workspace["data"]), "--schema", str(bad),
+                 "--epsilon", "1.0", "--trees", "3", "--report", str(out)],
+        "predict": ["predict", "--model", str(bad), "--data", str(workspace["data"]),
+                    "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: feature 'f0': ") and err.count("\n") == 1
+    assert "overflows a double" in err
+    assert not out.exists()
+
+
+def test_split_budget_names_a_per_query_epsilon_of_zero(workspace, tmp_path, capsys):
+    assert main([
+        "train", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+        "--budget", "split", "--epsilon", "5e-324", "--trees", "3",
+        "--out", str(tmp_path / "m.json"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == ("usage error: epsilon 5e-324 split over 3 trees rounds to a "
+                   "per-query epsilon of 0.0\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command,depth,count", [
     ("train", 40, f"{100 * 2**40}"),
     ("eval", 40, f"{100 * 2**40}"),
