@@ -278,9 +278,7 @@ def majority_label_query(
     for offline analysis only.
     """
     rows = tuple(counts.items())
-    # bool and float counts equal ints as keys, so only exact ints are cached
-    derive = (_cached_leaf_release if type(epsilon) is float
-              and all(type(count) is int for _, count in rows)
+    derive = (_cached_leaf_release if _cacheable(rows, epsilon, sensitivity_mode)
               else _leaf_release)
     labels, weights, total, record_count, gap, smooth, preferred = derive(
         rows, epsilon, sensitivity_mode)
@@ -311,6 +309,21 @@ def _leaf_release(rows: tuple[tuple[str, int], ...], epsilon: float,
     return (tuple(log_weights), weights, math.fsum(weights), int(sum(counts.values())),
             gap, math.exp(log_smooth),
             tuple(lab for lab, s in scores.items() if s == 1.0))
+
+
+def _cacheable(rows: tuple, epsilon, sensitivity_mode) -> bool:
+    """Whether equal cache keys mean equal inputs.
+
+    ``True == 1 == 1.0`` as keys, so a cached ``{"a": 1}`` would answer
+    ``{"a": True}``, which must be refused. Only str labels, int counts, a
+    float epsilon and a known mode qualify; anything else is derived afresh.
+    """
+    if type(epsilon) is not float or sensitivity_mode not in SENSITIVITY_MODES:
+        return False
+    for label, count in rows:
+        if type(label) is not str or type(count) is not int:
+            return False
+    return True
 
 
 # training repeats few distinct rows (most leaves are empty), so a bounded

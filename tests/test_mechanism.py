@@ -187,6 +187,16 @@ def test_leaf_query_refuses_bad_counts_after_a_good_row():
     majority_label_query({"A": 1, "B": 0}, 1.0, rng)
     with pytest.raises(ValueError, match="unknown sensitivity mode"):
         majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode="other")
+    with pytest.raises(ValueError, match="unknown sensitivity mode"):
+        majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode=["smooth"])
+
+
+def test_leaf_query_returns_the_labels_it_was_given():
+    # True == 1 as a key: an answer kept for one table must not serve the other
+    rng = np.random.default_rng(0)
+    assert majority_label_query({1: 5, 0: 0}, 30.0, rng)[0] == 1
+    label, diag = majority_label_query({True: 5, False: 0}, 30.0, rng)
+    assert label is True and diag.preferred_labels[0] is True
 
 
 def test_label_gap():
