@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,7 +167,8 @@ def _draw(log_weights: dict[str, float], rng: np.random.Generator) -> str:
     return _walk(tuple(log_weights), weights, math.fsum(weights), rng)
 
 
-def _walk(labels, weights, total: float, rng: np.random.Generator) -> str:
+def _walk(labels: Sequence[str], weights: Sequence[float], total: float,
+          rng: np.random.Generator) -> str:
     """The label whose cumulative weight first exceeds ``rng.random() * total``."""
     threshold = rng.random() * total
     acc = 0.0
@@ -311,7 +312,7 @@ def _leaf_release(rows: tuple[tuple[str, int], ...], epsilon: float,
             tuple(lab for lab, s in scores.items() if s == 1.0))
 
 
-def _cacheable(rows: tuple, epsilon, sensitivity_mode) -> bool:
+def _cacheable(rows: tuple, epsilon: float, sensitivity_mode: str) -> bool:
     """Whether equal cache keys mean equal inputs.
 
     ``True == 1 == 1.0`` as keys, so a cached ``{"a": 1}`` would answer
