@@ -118,13 +118,13 @@ CASES = {
     ),
     "eval-report": (
         ["eval", "--epsilon", "1.0", "--trees", "4", "--depth", "4", "--seed", "2",
-         "--budget", "split", "--folds", "3", "--repeats", "2",
+         "--sensitivity", "smooth", "--budget", "split", "--folds", "3", "--repeats", "2",
          "--report", "{dir}/eval-report"],
         "f078b5ad8568d4225fc510b8ae088e772dfd1d3253ff073946f389c5696561fa",
     ),
     "audit-report": (
         ["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
-         "--report", "{dir}/audit-report"],
+         "--sensitivity", "smooth", "--report", "{dir}/audit-report"],
         "01bf4a4f6bcf6421171b1a427fa1f2eef074ab167a894c127b5fb97c5e9908dd",
     ),
     "mixed-model-disjoint": (
