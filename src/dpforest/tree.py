@@ -104,41 +104,76 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
     """Draw a random tree of at most ``depth`` tests per path.
 
     Candidate features at a node are the continuous ones whose current
-    domain is still wider than MIN_DOMAIN_WIDTH plus the discrete ones not
-    yet used on the path. A branch ends early when no candidates remain.
-    This function never touches records; it reads only the schema and the
-    random stream.
+    domain is still wider than MIN_DOMAIN_WIDTH and holds a double strictly
+    inside, plus the discrete ones not yet used on the path. A branch ends
+    early when no candidates remain. This function never touches records;
+    it reads only the schema and the random stream.
+
+    The draw goes level by level. Each level picks every node's feature in
+    one ``rng.integers`` call and every continuous split in one
+    ``rng.random`` call, in the order of the level's nodes, and draws again
+    only the splits that landed on an endpoint of their domain.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    features = schema.features
+    continuous = np.array([isinstance(f, ContinuousFeature) for f in features])
+    arity = np.array([2 if c else len(f.values) for f, c in zip(features, continuous)])
+    # one row of domains per node of the level; a discrete feature's domain
+    # is [0, 1] until a split on it collapses it to [0, 0]
+    lo = np.array([[f.lower if c else 0.0 for f, c in zip(features, continuous)]])
+    hi = np.array([[f.upper if c else 1.0 for f, c in zip(features, continuous)]])
+    levels = []  # per level: node count, inner nodes, their features and splits
+    width = 1  # nodes in the level being drawn
+    for level in range(depth):
+        usable = (hi - lo > MIN_DOMAIN_WIDTH) & (np.nextafter(lo, hi) < hi)
+        counts = usable.sum(axis=1)
+        inner = np.flatnonzero(counts)
+        if not inner.size:
+            break
+        picks = rng.integers(counts[inner])
+        feat = (usable[inner].cumsum(axis=1) > picks[:, None]).argmax(axis=1)
+        is_cont = continuous[feat]
+        rows, cols = inner[is_cont], feat[is_cont]
+        a, b = lo[rows, cols], hi[rows, cols]
+        # rng.uniform(a, b) computes this same double
+        cut = a + (b - a) * rng.random(rows.size)
+        redraw = np.flatnonzero(~((a < cut) & (cut < b)))
+        while redraw.size:
+            cut[redraw] = a[redraw] + (b[redraw] - a[redraw]) * rng.random(redraw.size)
+            redraw = redraw[~((a[redraw] < cut[redraw]) & (cut[redraw] < b[redraw]))]
+        split = np.zeros(inner.size)
+        split[is_cont] = cut
+        levels.append((width, inner, feat, split))
+        fanout = arity[feat]
+        width = int(fanout.sum())
+        if level + 1 == depth:
+            break  # the children are leaves and need no domains
 
-    # candidates: (feature, lower, upper) for each usable feature in schema
-    # order, a narrowed domain in its feature's place; None bounds if discrete
-    def grow(level: int, candidates: list[tuple]) -> TreeNode:
-        if level == depth or not candidates:
-            return Leaf()
-        i = int(rng.integers(len(candidates)))
-        feat, lo, hi = candidates[i]
-        head, tail = candidates[:i], candidates[i + 1:]
-        if not isinstance(feat, ContinuousFeature):
-            rest = head + tail
-            return DiscreteSplit(feat.name, {value: grow(level + 1, rest)
-                                             for value in feat.values})
-        # rng.uniform(lo, hi) computes this same double, at a third of the cost
-        split = lo + (hi - lo) * rng.random()
-        while not lo < split < hi:  # guard against landing on an endpoint
-            split = lo + (hi - lo) * rng.random()
-        children = []
-        for lower, upper in ((lo, split), (split, hi)):
-            narrowed = [(feat, lower, upper)] if upper - lower > MIN_DOMAIN_WIDTH else []
-            children.append(grow(level + 1, head + narrowed + tail))
-        return ContinuousSplit(feat.name, split, *children)
+        # children in node order: each takes its parent's domains, with the
+        # split feature's narrowed to [lo, split) or [split, hi], or spent
+        parent = np.repeat(inner, fanout)
+        child_feat = np.repeat(feat, fanout)
+        child_cut = np.repeat(split, fanout)
+        upper = np.repeat(is_cont, fanout)
+        upper[np.cumsum(fanout) - fanout] = False  # a split's first child is below it
+        lo, hi = lo[parent], hi[parent]
+        lo[upper, child_feat[upper]] = child_cut[upper]
+        hi[~upper, child_feat[~upper]] = child_cut[~upper]
 
-    return grow(0, [
-        (f, f.lower, f.upper) if isinstance(f, ContinuousFeature) else (f, None, None)
-        for f in schema.features
-        if not isinstance(f, ContinuousFeature) or f.upper - f.lower > MIN_DOMAIN_WIDTH
-    ])
+    # nest bottom-up: an inner node takes the next level's nodes in order
+    below: list[TreeNode] = [Leaf() for _ in range(width)]
+    for size, inner, feat, split in reversed(levels):
+        nodes: list[TreeNode | None] = [None] * size
+        children = iter(below)
+        for i, f, cut in zip(inner.tolist(), feat.tolist(), split.tolist()):
+            spec = features[f]
+            if isinstance(spec, ContinuousFeature):
+                nodes[i] = ContinuousSplit(spec.name, cut, next(children), next(children))
+            else:
+                nodes[i] = DiscreteSplit(spec.name, {v: next(children) for v in spec.values})
+        below = [Leaf() if node is None else node for node in nodes]
+    return below[0]
 
 
 def route_record(root: TreeNode, record: Record) -> Leaf:

@@ -1,3 +1,6 @@
+import math
+import signal
+
 import numpy as np
 import pytest
 
@@ -24,46 +27,68 @@ from conftest import CountingDataset
 
 
 def reference_build_tree(schema, depth, rng):
-    """The draw that scans every feature at each node, kept as the reference.
+    """The level-wise draw written out node by node, kept as the reference.
 
-    Bounds and spent discrete features live in state shared by the whole
-    walk and restored after each subtree. A tree drawn by ``build_tree``
-    must equal this one and leave the random stream in the same state.
+    Each node of a level carries its own bounds and spent discrete
+    features. The level makes the same random calls as ``build_tree``: one
+    ``rng.integers`` over every node's candidate count, one ``rng.random``
+    over its continuous splits, then one more over the splits that landed
+    on an endpoint, until none does. Returns the tree as ``node_to_dict``
+    gives it.
     """
+    root = {}
     bounds = {f.name: (f.lower, f.upper) for f in schema.continuous_features()}
-    unused_discrete = {f.name for f in schema.discrete_features()}
-
-    def grow(level):
-        if level == depth:
-            return Leaf()
-        candidates = []
-        for feat in schema.features:
+    level = [(root, bounds, frozenset())]
+    for _ in range(depth):
+        drawn = []
+        for node, bounds, spent in level:
+            candidates = []
+            for feat in schema.features:
+                if isinstance(feat, ContinuousFeature):
+                    lo, hi = bounds[feat.name]
+                    if hi - lo > MIN_DOMAIN_WIDTH and math.nextafter(lo, hi) < hi:
+                        candidates.append(feat)
+                elif feat.name not in spent:
+                    candidates.append(feat)
+            if candidates:
+                drawn.append((node, bounds, spent, candidates))
+            else:
+                node.update(kind="leaf", label=None)
+        if not drawn:
+            level = []
+            break
+        picks = rng.integers([len(candidates) for *_, candidates in drawn])
+        chosen = [candidates[int(i)] for (*_, candidates), i in zip(drawn, picks)]
+        domains = [bounds[feat.name] for (_, bounds, _, _), feat in zip(drawn, chosen)
+                   if isinstance(feat, ContinuousFeature)]
+        splits = [lo + (hi - lo) * u
+                  for (lo, hi), u in zip(domains, rng.random(len(domains)).tolist())]
+        redraw = [i for i, ((lo, hi), s) in enumerate(zip(domains, splits))
+                  if not lo < s < hi]
+        while redraw:
+            for i, u in zip(redraw, rng.random(len(redraw)).tolist()):
+                lo, hi = domains[i]
+                splits[i] = lo + (hi - lo) * u
+            redraw = [i for i in redraw if not domains[i][0] < splits[i] < domains[i][1]]
+        splits = iter(splits)
+        level = []
+        for (node, bounds, spent, _), feat in zip(drawn, chosen):
             if isinstance(feat, ContinuousFeature):
                 lo, hi = bounds[feat.name]
-                if hi - lo > MIN_DOMAIN_WIDTH:
-                    candidates.append(feat)
-            elif feat.name in unused_discrete:
-                candidates.append(feat)
-        if not candidates:
-            return Leaf()
-        feat = candidates[int(rng.integers(len(candidates)))]
-        if isinstance(feat, ContinuousFeature):
-            lo, hi = bounds[feat.name]
-            split = float(rng.uniform(lo, hi))
-            while not lo < split < hi:
-                split = float(rng.uniform(lo, hi))
-            bounds[feat.name] = (lo, split)
-            below = grow(level + 1)
-            bounds[feat.name] = (split, hi)
-            at_or_above = grow(level + 1)
-            bounds[feat.name] = (lo, hi)
-            return ContinuousSplit(feat.name, split, below, at_or_above)
-        unused_discrete.remove(feat.name)
-        children = {value: grow(level + 1) for value in feat.values}
-        unused_discrete.add(feat.name)
-        return DiscreteSplit(feat.name, children)
-
-    return grow(0)
+                split = next(splits)
+                below, at_or_above = {}, {}
+                node.update(kind="split_cont", feature=feat.name, split=split,
+                            below=below, at_or_above=at_or_above)
+                level.append((below, {**bounds, feat.name: (lo, split)}, spent))
+                level.append((at_or_above, {**bounds, feat.name: (split, hi)}, spent))
+            else:
+                children = {value: {} for value in feat.values}
+                node.update(kind="split_disc", feature=feat.name, children=children)
+                level.extend((child, bounds, spent | {feat.name})
+                             for child in children.values())
+    for node, *_ in level:
+        node.update(kind="leaf", label=None)
+    return root
 
 
 def _schema(*features, labels=("x", "y")):
@@ -105,7 +130,7 @@ REFERENCE_DRAWS = {
     "narrow-offset-domain": (_schema(
         ContinuousFeature("offset", 1e6, 1e6 + 1e-9),
         ContinuousFeature("unit", 0.0, 1.0),
-    ), 2),
+    ), 6),
     "negative-range": (_schema(
         ContinuousFeature("neg", -7.5, -2.25),
         ContinuousFeature("far", -3e12, -1e12),
@@ -119,8 +144,33 @@ def test_build_tree_matches_the_reference_draw(case):
     for seed in range(4):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         tree = build_tree(schema, depth, ours)
-        assert node_to_dict(tree) == node_to_dict(reference_build_tree(schema, depth, theirs))
+        assert node_to_dict(tree) == reference_build_tree(schema, depth, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("depth", [3, 4, 6, 9])
+def test_build_tree_ends_when_no_double_lies_inside_a_domain(depth):
+    """A domain a few doubles wide stops being a candidate, not a loop.
+
+    ``[1e6, 1e6 + 1e-9]`` is nine doubles wide and so wider than
+    MIN_DOMAIN_WIDTH; after a few splits a path reaches an interval with
+    no double strictly inside, where no split can land.
+    """
+    schema, _ = REFERENCE_DRAWS["narrow-offset-domain"]
+
+    def stop(signum, frame):
+        raise TimeoutError(f"build_tree at depth {depth} did not return in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        for seed in range(1, 6):
+            tree = build_tree(schema, depth, np.random.default_rng(seed))
+            bounds = {f.name: (f.lower, f.upper) for f in schema.continuous_features()}
+            _check_structure(schema, tree, bounds, frozenset(), depth)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_expected_untested_values():
