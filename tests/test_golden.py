@@ -90,37 +90,37 @@ CASES = {
     "model-smooth-disjoint": (
         ["train", *TRAIN, "--sensitivity", "smooth", "--budget", "disjoint",
          "--diagnostics", "{dir}/diagnostics", "--out", "{dir}/model-smooth-disjoint"],
-        "38bb84a0e77d840b9e700d065d9af490644b52bd1e29e6f9934422223dcacea6",
+        "04119000220d774ee6329610fe5f911d53f46d4680a20bf94d0ef0fa769cbf27",
     ),
     "diagnostics": (
         None,
-        "13af5aedaa8baadafd646c6516c66da5f75f74096f99ba93783f205383ec6a51",
+        "efbd1ec214207a8a4c7a3596b559d97d475e7cafd05374c045441914d334e205",
     ),
     "model-smooth-split": (
         ["train", *TRAIN, "--sensitivity", "smooth", "--budget", "split",
          "--out", "{dir}/model-smooth-split"],
-        "da6c8a5fc4b04a699f11c3297b86c4dd2c543c7f2588cd437a0bd0e120263c68",
+        "7274b204b41156b19f4ba0addc67fea0644ceecc4d3c20f8ddc2873f34bc2223",
     ),
     "model-global-disjoint": (
         ["train", *TRAIN, "--sensitivity", "global", "--budget", "disjoint",
          "--out", "{dir}/model-global-disjoint"],
-        "d1a734f1b7e08c280e089b5048faa000d236aa540726a0f837753c86bbbe12cf",
+        "5145c663207bbf70b9798c0ba9c6c46bca8cb1294e76a011f6d26b90417397b1",
     ),
     "model-global-split": (
         ["train", *TRAIN, "--sensitivity", "global", "--budget", "split",
          "--out", "{dir}/model-global-split"],
-        "dafd015fc52c2304c881cefdce2e207cea363c9d4e485bf6b77539f8bd1262fd",
+        "9d4597cca9f56fa7103d42a01fa4fa668cda322e38150af16511c30d10fef3ba",
     ),
     "predictions": (
         ["predict", "--model", "{dir}/model-smooth-disjoint", "--data", "{dir}/gen-data",
          "--out", "{dir}/predictions"],
-        "75659305e62cdd2c51a9a3acf08eb5aa53b3cd94d4b1f71a0380d479814ae9d4",
+        "db5e977d2a2aaee3ea6b340bf8a2d840ebfb9f11bebaf4e1a91d657965fda867",
     ),
     "eval-report": (
         ["eval", "--epsilon", "1.0", "--trees", "4", "--depth", "4", "--seed", "2",
          "--sensitivity", "smooth", "--budget", "split", "--folds", "3", "--repeats", "2",
          "--report", "{dir}/eval-report"],
-        "f078b5ad8568d4225fc510b8ae088e772dfd1d3253ff073946f389c5696561fa",
+        "be9fbf0993ac57a45a5345292e800e1dcb81ae6d29e43acbc7babb3870e52b08",
     ),
     "audit-report": (
         ["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
@@ -132,40 +132,40 @@ CASES = {
          "--sensitivity", "smooth", "--budget", "disjoint",
          "--diagnostics", "{dir}/mixed-diagnostics",
          "--out", "{dir}/mixed-model-disjoint"],
-        "9d8e668da57ef5d5db853183e96893354fd477d8a1dda76cd17591a222a35bae",
+        "d88bf449e3ca24f0ac0e58100095143934c4f074d00b07c2a7c2ee2a961621a9",
     ),
     "mixed-diagnostics": (
         None,
-        "e8821a66f1bbb001a7d0576b5a181056c3ed9d30834e355038faea8bbde29943",
+        "26f381d1f159682541ec57bf1646d2ac09755369daf4fe7ecc9c1799e0cfad4b",
     ),
     "mixed-model-split": (
         ["train", *MIXED, "--epsilon", "2.0", "--trees", "4", "--seed", "6",
          "--sensitivity", "global", "--budget", "split",
          "--out", "{dir}/mixed-model-split"],
-        "13f0d84778b1ec72e36868bd68d7970d7f6fd345c049ed3cbab3cb66782f2eb3",
+        "04b78d44ffad66d11bfa2bd83197ff1c3484c190f76c3b109d3153ca713d62d1",
     ),
     "mixed-predictions": (
         ["predict", "--model", "{dir}/mixed-model-disjoint",
          "--data", "{dir}/mixed-data", "--out", "{dir}/mixed-predictions"],
-        "932d58c83c38b7b70745d695ced22d77bf1d3d54955db51ace5a0ecfef675341",
+        "f7bb0af6f1fe60b7bff4373ef05d748dd8ddf5840bdfa3d7feb665218b4e794a",
     ),
     "mixed-eval-report": (
         ["eval", *MIXED, "--epsilon", "1.0", "--trees", "3", "--depth", "3",
          "--seed", "4", "--sensitivity", "smooth", "--budget", "disjoint",
          "--folds", "3", "--repeats", "2", "--report", "{dir}/mixed-eval-report"],
-        "58453849090920953b1bf7b1074262b85b60ae109f6da648dd64e83634abcec2",
+        "5707a8a94cb1e304ff662521363c02d20afb88756da99c78cebfba977cdbac26",
     ),
     # deep enough that most leaves are empty and continuous domains are
     # split many times along one path
     "deep-model": (
         ["train", "--epsilon", "1.0", "--trees", "3", "--depth", "11", "--seed", "8",
          "--sensitivity", "smooth", "--budget", "split", "--out", "{dir}/deep-model"],
-        "5e20101e3d612a469bde5a1245b5f498ca494b4585c98d4aa86cc6017fd4106f",
+        "cd5821b18f96c22f27286a8aa94d8bd170f0890c39c6784ad28b53f3591441bf",
     ),
     "deep-predictions": (
         ["predict", "--model", "{dir}/deep-model", "--data", "{dir}/gen-data",
          "--out", "{dir}/deep-predictions"],
-        "a4227a753e3bb0c15ae8f8ec9b849aff234221d14c2dea498b96aef0d9c61c0d",
+        "993452246211d2c03802b352ec763fee35a78f25b37c5de461a51f77d5a4de17",
     ),
 }
 
