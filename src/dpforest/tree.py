@@ -134,16 +134,13 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
         picks = rng.integers(counts[inner])
         feat = (usable[inner].cumsum(axis=1) > picks[:, None]).argmax(axis=1)
         is_cont = continuous[feat]
-        rows, cols = inner[is_cont], feat[is_cont]
-        a, b = lo[rows, cols], hi[rows, cols]
-        # rng.uniform(a, b) computes this same double
-        cut = a + (b - a) * rng.random(rows.size)
-        redraw = np.flatnonzero(~((a < cut) & (cut < b)))
-        while redraw.size:
-            cut[redraw] = a[redraw] + (b[redraw] - a[redraw]) * rng.random(redraw.size)
-            redraw = redraw[~((a[redraw] < cut[redraw]) & (cut[redraw] < b[redraw]))]
-        split = np.zeros(inner.size)
-        split[is_cont] = cut
+        a, b = lo[inner, feat], hi[inner, feat]
+        split = np.zeros(inner.size)  # a discrete node keeps 0: the bound that spends it
+        redraw = np.flatnonzero(is_cont)
+        while redraw.size:  # until no split sits on an endpoint of its domain
+            # rng.uniform(a, b) computes this same double
+            split[redraw] = a[redraw] + (b[redraw] - a[redraw]) * rng.random(redraw.size)
+            redraw = redraw[~((a[redraw] < split[redraw]) & (split[redraw] < b[redraw]))]
         levels.append((width, inner, feat, split))
         fanout = arity[feat]
         width = int(fanout.sum())
@@ -151,7 +148,7 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
             break  # the children are leaves and need no domains
 
         # children in node order: each takes its parent's domains, with the
-        # split feature's narrowed to [lo, split) or [split, hi], or spent
+        # split feature's narrowed to [lo, split) or [split, hi], or [0, 0]
         parent = np.repeat(inner, fanout)
         child_feat = np.repeat(feat, fanout)
         child_cut = np.repeat(split, fanout)
