@@ -55,7 +55,6 @@ def reference_build_tree(schema, depth, rng):
             else:
                 node.update(kind="leaf", label=None)
         if not drawn:
-            level = []
             break
         picks = rng.integers([len(candidates) for *_, candidates in drawn])
         chosen = [candidates[int(i)] for (*_, candidates), i in zip(drawn, picks)]
