@@ -158,6 +158,7 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
         lo[upper, child_feat[upper]] = child_cut[upper]
         hi[~upper, child_feat[~upper]] = child_cut[~upper]
 
+    del lo, hi, usable  # free the last level's domains before building its nodes
     # nest bottom-up: an inner node takes the next level's nodes in order
     below: list[TreeNode] = [Leaf() for _ in range(width)]
     for size, inner, feat, split in reversed(levels):
