@@ -60,6 +60,12 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
+def _check_mode(sensitivity_mode: str) -> None:
+    # checked before the cache, because an unhashable mode cannot key it
+    if sensitivity_mode not in SENSITIVITY_MODES:
+        raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
+
+
 def label_gap(counts: Mapping[str, int]) -> int:
     """Margin of the vote: largest count minus second largest."""
     return _vote(counts)[1]
@@ -155,18 +161,6 @@ def _log_weights(
     return out
 
 
-def _normalize(log_weights: dict[str, float]) -> dict[str, float]:
-    """Log probabilities from log weights."""
-    log_total = math.log(math.fsum(math.exp(lw) for lw in log_weights.values()))
-    return {label: lw - log_total for label, lw in log_weights.items()}
-
-
-def _draw(log_weights: dict[str, float], rng: np.random.Generator) -> str:
-    """One label drawn with one ``rng.random()``, walking labels in order."""
-    weights = [math.exp(lw) for lw in log_weights.values()]
-    return _walk(tuple(log_weights), weights, math.fsum(weights), rng)
-
-
 def _walk(labels: Sequence[str], weights: Sequence[float], total: float,
           rng: np.random.Generator) -> str:
     """The label whose cumulative weight first exceeds ``rng.random() * total``."""
@@ -206,7 +200,9 @@ def exp_mechanism_log_distribution(
     A label whose exponent magnitude exceeds the largest double reports
     -inf; its probability is beyond anything a float could express.
     """
-    return _normalize(_log_weights(scores, sensitivity, epsilon, log_sensitivity))
+    log_weights = _log_weights(scores, sensitivity, epsilon, log_sensitivity)
+    log_total = math.log(math.fsum(math.exp(lw) for lw in log_weights.values()))
+    return {label: lw - log_total for label, lw in log_weights.items()}
 
 
 def exp_mechanism_select(
@@ -225,7 +221,9 @@ def exp_mechanism_select(
     over ``sensitivity``; pass it when the sensitivity itself would
     underflow a double.
     """
-    return _draw(_log_weights(scores, sensitivity, epsilon, log_sensitivity), rng)
+    log_weights = _log_weights(scores, sensitivity, epsilon, log_sensitivity)
+    weights = [math.exp(lw) for lw in log_weights.values()]
+    return _walk(tuple(log_weights), weights, math.fsum(weights), rng)
 
 
 @dataclass(frozen=True)
@@ -248,22 +246,6 @@ class QueryDiagnostics:
         return self.record_count == 0
 
 
-def _leaf_log_weights(
-    scores: dict[str, float], log_smooth: float, epsilon: float, sensitivity_mode: str
-) -> dict[str, float]:
-    """One leaf's log selection weights under a sensitivity mode.
-
-    ``log_smooth`` is the leaf's log smooth sensitivity. The release draws
-    from these weights and the audit normalises them, so the audit
-    measures exactly what the release samples.
-    """
-    if sensitivity_mode == "smooth":
-        return _log_weights(scores, None, epsilon, log_smooth)
-    if sensitivity_mode == "global":
-        return _log_weights(scores, GLOBAL_SENSITIVITY, epsilon, None)
-    raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
-
-
 def majority_label_query(
     counts: Mapping[str, int],
     epsilon: float,
@@ -278,11 +260,9 @@ def majority_label_query(
     true winners, and whether the release missed them). The diagnostics are
     for offline analysis only.
     """
-    rows = tuple(counts.items())
-    derive = (_cached_leaf_release if _cacheable(rows, epsilon, sensitivity_mode)
-              else _leaf_release)
-    labels, weights, total, record_count, gap, smooth, preferred = derive(
-        rows, epsilon, sensitivity_mode)
+    _check_mode(sensitivity_mode)
+    labels, _, weights, total, record_count, gap, smooth, preferred = _derive_leaf(
+        epsilon, sensitivity_mode, *counts, *counts.values())
     label = _walk(labels, weights, total, rng)
     diag = QueryDiagnostics(
         record_count=record_count,
@@ -294,42 +274,33 @@ def majority_label_query(
     return label, diag
 
 
-def _leaf_release(rows: tuple[tuple[str, int], ...], epsilon: float,
-                  sensitivity_mode: str) -> tuple:
+# training repeats few distinct rows (most leaves are empty), so a bounded
+# cache serves nearly every query; a refused row raises and is not stored.
+# The key is epsilon, the mode, the labels, then the counts, each its own
+# argument so that typed=True keeps True, 1, 1.0 and np.int64(1) apart: an
+# answer kept for one table never serves another that is only equal to it
+@functools.lru_cache(maxsize=_LEAF_CACHE_SIZE, typed=True)
+def _derive_leaf(epsilon: float, sensitivity_mode: str, *labels_then_counts) -> tuple:
     """Everything one leaf query derives from its counts, checked.
 
-    The labels in order, their weights and the weights' total, then the
-    record count, gap, smooth sensitivity and preferred labels of the
-    diagnostics. Holds no label drawn and no diagnostics object.
+    The labels in order, their log weights, weights and the weights'
+    ``math.fsum`` total, then the record count, gap, smooth sensitivity and
+    preferred labels of the diagnostics. The release draws from these
+    weights and the audit normalises them, so the audit measures exactly
+    what the release samples.
     """
-    counts = dict(rows)
+    half = len(labels_then_counts) // 2
+    counts = dict(zip(labels_then_counts[:half], labels_then_counts[half:]))
     scores, gap = _vote(counts)
     log_smooth = log_smooth_sensitivity(gap, epsilon)
-    log_weights = _leaf_log_weights(scores, log_smooth, epsilon, sensitivity_mode)
+    if sensitivity_mode == "smooth":
+        log_weights = _log_weights(scores, None, epsilon, log_smooth)
+    else:
+        log_weights = _log_weights(scores, GLOBAL_SENSITIVITY, epsilon, None)
     weights = tuple(math.exp(lw) for lw in log_weights.values())
-    return (tuple(log_weights), weights, math.fsum(weights), int(sum(counts.values())),
-            gap, math.exp(log_smooth),
+    return (tuple(log_weights), tuple(log_weights.values()), weights, math.fsum(weights),
+            int(sum(counts.values())), gap, math.exp(log_smooth),
             tuple(lab for lab, s in scores.items() if s == 1.0))
-
-
-def _cacheable(rows: tuple, epsilon: float, sensitivity_mode: str) -> bool:
-    """Whether equal cache keys mean equal inputs.
-
-    ``True == 1 == 1.0`` as keys, so a cached ``{"a": 1}`` would answer
-    ``{"a": True}``, which must be refused. Only str labels, int counts, a
-    float epsilon and a known mode qualify; anything else is derived afresh.
-    """
-    if type(epsilon) is not float or sensitivity_mode not in SENSITIVITY_MODES:
-        return False
-    for label, count in rows:
-        if type(label) is not str or type(count) is not int:
-            return False
-    return True
-
-
-# training repeats few distinct rows (most leaves are empty), so a bounded
-# cache serves nearly every query; a refused row raises and is not stored
-_cached_leaf_release = functools.lru_cache(maxsize=_LEAF_CACHE_SIZE)(_leaf_release)
 
 
 @dataclass(frozen=True)
@@ -374,11 +345,13 @@ def neighbor_ratio_audit(
     Ratios whose magnitude exceeds the double range are reported as inf.
     """
     def log_distribution(table: Mapping[str, int]) -> dict[str, float]:
-        scores, gap = _vote(table)
-        log_smooth = log_smooth_sensitivity(gap, epsilon)
-        return _normalize(
-            _leaf_log_weights(scores, log_smooth, epsilon, sensitivity_mode))
+        labels, log_weights, _, total = _derive_leaf(
+            epsilon, sensitivity_mode, *table, *table.values())[:4]
+        # the same bits as exp_mechanism_log_distribution, from the release's total
+        log_total = math.log(total)
+        return {label: lw - log_total for label, lw in zip(labels, log_weights)}
 
+    _check_mode(sensitivity_mode)
     base = log_distribution(counts)
     total = sum(counts.values())
     if total > MAX_AUDIT_RECORDS:

@@ -139,13 +139,16 @@ def test_leaf_query_matches_the_reference(mode, epsilon):
 
 
 # one stream through repeated rows, as training sends them: the same table
-# again and again, as Python and as numpy integers, and empty tables between
+# again and again, as Python and as numpy integers, with str and numpy str
+# labels, and empty tables between
 REPEATED_COUNTS = [
     {"a": 0, "b": 0},
     {"a": 0, "b": 0},
     {"a": 4, "b": 1},
     {"a": np.int64(4), "b": np.int64(1)},
+    {np.str_("a"): 4, np.str_("b"): 1},
     {"a": 4, "b": 1},
+    {np.str_("a"): np.int64(4), np.str_("b"): np.int64(1)},
     {"a": 0, "b": 0},
     {"b": 1, "a": 4},
     {"a": 0, "b": 0, "c": 0},
@@ -165,11 +168,17 @@ def test_leaf_query_matches_the_reference_on_repeated_rows(mode, epsilon):
     ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
     for _ in range(3):
         for counts in REPEATED_COUNTS:
-            label, diag = majority_label_query(counts, epsilon, ours,
-                                               sensitivity_mode=mode)
-            assert type(diag.record_count) is int and type(diag.gap) is int
-            assert (label, dataclasses.astuple(diag)) == reference_majority_label_query(
-                counts, epsilon, theirs, mode)
+            for eps in (epsilon, np.float64(epsilon)):
+                label, diag = majority_label_query(counts, eps, ours,
+                                                   sensitivity_mode=mode)
+                assert type(diag.record_count) is int and type(diag.gap) is int
+                want = reference_majority_label_query(counts, eps, theirs, mode)
+                assert (label, dataclasses.astuple(diag)) == want
+                assert type(label) is type(want[0])
+                # the audit reads the derivation the release has just cached
+                report = neighbor_ratio_audit(counts, eps, sensitivity_mode=mode)
+                assert report.to_dict() == reference_neighbor_ratio_audit(
+                    counts, eps, mode).to_dict()
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -177,7 +186,9 @@ def test_leaf_query_refuses_bad_counts_after_a_good_row():
     rng = np.random.default_rng(0)
     for mode in ("smooth", "global"):
         majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode=mode)
-        for bad in ({"A": True, "B": 0}, {"A": 1.0, "B": 0}, {"A": 1, "B": -1}):
+        for bad in ({"A": True, "B": 0}, {"A": True, "B": False},
+                    {"A": np.True_, "B": np.False_}, {"A": 1.0, "B": 0},
+                    {"A": 1.0, "B": 0.0}, {"A": 1, "B": -1}):
             with pytest.raises(ValueError, match="count for label"):
                 majority_label_query(bad, 1.0, rng, sensitivity_mode=mode)
         for epsilon in (math.nan, -1.0, 0.0):
@@ -189,6 +200,21 @@ def test_leaf_query_refuses_bad_counts_after_a_good_row():
         majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode="other")
     with pytest.raises(ValueError, match="unknown sensitivity mode"):
         majority_label_query({"A": 1, "B": 0}, 1.0, rng, sensitivity_mode=["smooth"])
+
+
+def test_unknown_mode_is_refused_before_the_counts_and_the_cache():
+    # the mode is checked before the typed cache, which cannot key an
+    # unhashable mode; an unhashable count fails as a cache key
+    rng = np.random.default_rng(0)
+    for call in (lambda counts, mode: majority_label_query(counts, 1.0, rng,
+                                                           sensitivity_mode=mode),
+                 lambda counts, mode: neighbor_ratio_audit(counts, 1.0,
+                                                           sensitivity_mode=mode)):
+        for mode in ("other", ["smooth"]):
+            with pytest.raises(ValueError, match="unknown sensitivity mode"):
+                call({"A": -1, "B": 0}, mode)
+        with pytest.raises(TypeError, match="unhashable"):
+            call({"A": [1], "B": 0}, "smooth")
 
 
 def test_leaf_query_returns_the_labels_it_was_given():
