@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -54,25 +55,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
-                    started: float) -> str:
+def _outputs(args: argparse.Namespace) -> list[str]:
+    """The command's output paths, checked before any is written: two of
+    them, or one and the manifest, may not name the same file."""
+    named = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in args.outputs]
+    named = [(flag, path) for flag, path in named if path is not None]
+    if not named:
+        return []
+    first_flag, first = named[0]
+    seen: dict[str, str] = {}
+    for flag, path in named + [(f"the manifest of {first_flag}", first + ".manifest.json")]:
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise _UsageError(f"{other} and {flag} name the same file {path!r}")
+    return [path for _, path in named]
+
+
+def _write_manifest(args: argparse.Namespace, outputs: list[str], started: float) -> None:
     path = outputs[0] + ".manifest.json"
     arguments = {
-        key: value for key, value in sorted(vars(args).items()) if key != "func"
+        key: value for key, value in sorted(vars(args).items())
+        if key not in ("func", "outputs")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "arguments": arguments,
         "seed": getattr(args, "seed", None),
         "outputs": outputs + [path],
         "duration_seconds": round(time.monotonic() - started, 6),
     }
     write_json(path, manifest)
-    return path
 
 
-def _cmd_gen(args) -> int:
-    started = time.monotonic()
+def _cmd_gen(args) -> None:
     if args.seed < 0:
         raise _UsageError("seed must be a non-negative integer")
     rng = np.random.default_rng(args.seed)
@@ -86,15 +101,12 @@ def _cmd_gen(args) -> int:
         data = generate(args.informative, args.random or 0, args.n, rng)
     save_dataset(data, args.out)
     save_schema(data.schema, args.schema_out)
-    _write_manifest("gen", args, [args.out, args.schema_out], started)
     print(f"wrote {len(data)} records to {args.out}")
-    return 0
 
 
-def _cmd_depth(args) -> int:
+def _cmd_depth(args) -> None:
     schema = load_schema(args.schema)
     print(optimal_depth(schema.num_continuous, schema.num_discrete))
-    return 0
 
 
 def _train_config(args) -> TrainConfig:
@@ -110,8 +122,7 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _cmd_train(args) -> int:
-    started = time.monotonic()
+def _cmd_train(args) -> None:
     schema = load_schema(args.schema)
     data = load_dataset(args.data, schema)
     config = _train_config(args)
@@ -123,20 +134,15 @@ def _cmd_train(args) -> int:
         collect_diagnostics=args.diagnostics is not None,
     )
     save_model(model, args.out)
-    outputs = [args.out]
     if args.diagnostics is not None:
         write_json(args.diagnostics, diagnostics_to_dict(collect_diagnostics(model)))
-        outputs.append(args.diagnostics)
-    _write_manifest("train", args, outputs, started)
     print(
         f"trained {config.tau} trees at depth {model.config.depth_override}, "
         f"spent epsilon {float(ledger.composed_cost())}"
     )
-    return 0
 
 
-def _cmd_predict(args) -> int:
-    started = time.monotonic()
+def _cmd_predict(args) -> None:
     model = load_model(args.model)
     schema = model.schema
     if "prediction" in schema.feature_names or schema.label_column == "prediction":
@@ -148,13 +154,10 @@ def _cmd_predict(args) -> int:
     header, columns = csv_table(data)
     write_csv(args.out, header + ["prediction"],
               columns + [(codes, schema.class_labels)])
-    _write_manifest("predict", args, [args.out], started)
     print(f"wrote {len(data)} predictions to {args.out}")
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    started = time.monotonic()
+def _cmd_eval(args) -> None:
     schema = load_schema(args.schema)
     data = load_dataset(args.data, schema)
     config = _train_config(args)
@@ -166,12 +169,10 @@ def _cmd_eval(args) -> int:
     )
     report = report_to_dict(config, args.folds, args.repeats, metrics, diagnostics)
     write_json(args.report, report)
-    _write_manifest("eval", args, [args.report], started)
     print(
         f"accuracy {metrics.accuracy.mean:.4f} +/- {metrics.accuracy.std:.4f} "
         f"over {args.folds}x{args.repeats} folds"
     )
-    return 0
 
 
 def _parse_counts(text: str) -> dict[str, int]:
@@ -192,8 +193,7 @@ def _parse_counts(text: str) -> dict[str, int]:
     return counts
 
 
-def _cmd_audit(args) -> int:
-    started = time.monotonic()
+def _cmd_audit(args) -> None:
     counts = _parse_counts(args.counts)
     report = neighbor_ratio_audit(
         counts, args.epsilon, sensitivity_mode=args.sensitivity
@@ -201,7 +201,6 @@ def _cmd_audit(args) -> int:
     document = report.to_dict()
     if args.report is not None:
         write_json(args.report, document)
-        _write_manifest("audit", args, [args.report], started)
     else:
         print(json.dumps(document, indent=2))
     print(
@@ -209,7 +208,6 @@ def _cmd_audit(args) -> int:
         f"({args.sensitivity} sensitivity)",
         file=sys.stderr,
     )
-    return 0
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -248,11 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--schema-out", required=True, help="output schema path")
-    gen.set_defaults(func=_cmd_gen)
+    # outputs: the flags naming files the command writes, the manifest's first
+    gen.set_defaults(func=_cmd_gen, outputs=("--out", "--schema-out"))
 
     depth = commands.add_parser("depth", help="print the derived tree depth")
     depth.add_argument("--schema", required=True)
-    depth.set_defaults(func=_cmd_depth)
+    depth.set_defaults(func=_cmd_depth, outputs=())
 
     train = commands.add_parser("train", help="train a private forest")
     _add_train_flags(train)
@@ -260,21 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--diagnostics", default=None,
                        help="also write a leaf diagnostics report here "
                             "(not privacy safe)")
-    train.set_defaults(func=_cmd_train)
+    train.set_defaults(func=_cmd_train, outputs=("--out", "--diagnostics"))
 
     predict = commands.add_parser("predict", help="label records with a model")
     predict.add_argument("--model", required=True)
     predict.add_argument("--data", required=True)
     predict.add_argument("--out", required=True,
                          help="CSV with an appended prediction column")
-    predict.set_defaults(func=_cmd_predict)
+    predict.set_defaults(func=_cmd_predict, outputs=("--out",))
 
     evaluate = commands.add_parser("eval", help="repeated cross-validation")
     _add_train_flags(evaluate)
     evaluate.add_argument("--folds", type=int, default=10)
     evaluate.add_argument("--repeats", type=int, default=10)
     evaluate.add_argument("--report", required=True, help="report JSON path")
-    evaluate.set_defaults(func=_cmd_eval)
+    evaluate.set_defaults(func=_cmd_eval, outputs=("--report",))
 
     audit = commands.add_parser(
         "audit", help="measure output ratios against one-record neighbours"
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--sensitivity", choices=SENSITIVITY_MODES,
                        default=DEFAULT_SENSITIVITY_MODE)
     audit.add_argument("--report", default=None, help="report JSON path")
-    audit.set_defaults(func=_cmd_audit)
+    audit.set_defaults(func=_cmd_audit, outputs=("--report",))
 
     return parser
 
@@ -294,7 +293,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        outputs = _outputs(args)
+        started = time.monotonic()
+        args.func(args)
+        if outputs:
+            _write_manifest(args, outputs, started)
+        return 0
     except (_UsageError, ValueError, OSError) as exc:
         # a path that cannot be opened is a bad argument value
         print(f"usage error: {exc}", file=sys.stderr)

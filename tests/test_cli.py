@@ -176,6 +176,35 @@ def test_usage_errors_exit_one(workspace, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command,second,named", [
+    ("gen", "out", ("--out", "--schema-out")),
+    ("gen", "out.manifest.json", ("--schema-out", "the manifest of --out")),
+    ("train", "out", ("--out", "--diagnostics")),
+    ("train", "out.manifest.json", ("--diagnostics", "the manifest of --out")),
+    ("train", "link/out", ("--out", "--diagnostics")),
+], ids=["gen", "gen-manifest", "train", "train-manifest", "train-symlink"])
+def test_outputs_naming_one_file_exit_one_before_any_write(workspace, tmp_path, capsys,
+                                                          command, second, named):
+    (tmp_path / "link").symlink_to(tmp_path)
+    (tmp_path / "out").write_text("kept\n", encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    if command == "gen":
+        argv = ["gen", "--preset", "SynthF", "--n", "50",
+                "--out", str(tmp_path / "out"), "--schema-out", str(tmp_path / second)]
+    else:
+        argv = ["train", "--data", str(workspace["data"]),
+                "--schema", str(workspace["schema"]), "--epsilon", "1.0",
+                "--trees", "2", "--out", str(tmp_path / "out"),
+                "--diagnostics", str(tmp_path / second)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"{named[0]} and {named[1]} name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "out").read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("command,epsilon", [
     ("train", "1e308"), ("train", "1.7e308"), ("train", "5e-324"), ("audit", "1e308"),
 ])
