@@ -584,12 +584,4 @@ def partition_disjoint(
         raise ValueError("tau must be at least 1")
     if tau > n:
         raise ValueError(f"tau={tau} exceeds the {n} available records")
-    perm = rng.permutation(n)
-    base, extra = divmod(n, tau)
-    blocks: list[np.ndarray] = []
-    start = 0
-    for i in range(tau):
-        size = base + (1 if i < extra else 0)
-        blocks.append(perm[start:start + size])
-        start += size
-    return tuple(blocks)
+    return tuple(np.array_split(rng.permutation(n), tau))

@@ -260,25 +260,11 @@ def report_to_dict(
     diagnostics: DiagnosticsReport,
 ) -> dict:
     """Assemble the evaluation report in its JSON shape."""
-
-    def metric(summary: MetricSummary | None):
-        if summary is None:
-            return None
-        return {
-            "mean": summary.mean,
-            "std": summary.std,
-            "samples": list(summary.samples),
-        }
-
     return {
         "config": asdict(config),
         "folds": folds,
         "repeats": repeats,
-        "metrics": {
-            "accuracy": metric(metrics.accuracy),
-            "auc": metric(metrics.auc),
-            "f1": metric(metrics.f1),
-        },
+        "metrics": asdict(metrics),
         "diagnostics": diagnostics_to_dict(diagnostics),
     }
 
