@@ -84,7 +84,7 @@ def mutated_cells(draw, text: str) -> bytes:
     cells = lines[row].split(",")
     cells[draw(st.integers(0, len(cells) - 1))] = draw(st.text(max_size=12))
     lines[row] = ",".join(cells)
-    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @pytest.fixture(scope="module")
