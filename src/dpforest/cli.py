@@ -55,11 +55,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _named(args: argparse.Namespace, flags) -> list[tuple[str, str]]:
+    named = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in flags]
+    return [(flag, path) for flag, path in named if path is not None]
+
+
 def _outputs(args: argparse.Namespace) -> list[str]:
     """The command's output paths, checked before any is written: two of
-    them, or one and the manifest, may not name the same file."""
-    named = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in args.outputs]
-    named = [(flag, path) for flag, path in named if path is not None]
+    them, or one and the manifest, or one and an input, may not name the
+    same file."""
+    named = _named(args, args.outputs)
     if not named:
         return []
     first_flag, first = named[0]
@@ -68,6 +73,10 @@ def _outputs(args: argparse.Namespace) -> list[str]:
         other = seen.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise _UsageError(f"{other} and {flag} name the same file {path!r}")
+    for flag, path in _named(args, args.inputs):
+        other = seen.get(os.path.realpath(path))
+        if other is not None:
+            raise _UsageError(f"{flag} and {other} name the same file {path!r}")
     return [path for _, path in named]
 
 
@@ -75,7 +84,7 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], started: float
     path = outputs[0] + ".manifest.json"
     arguments = {
         key: value for key, value in sorted(vars(args).items())
-        if key not in ("func", "outputs")
+        if key not in ("func", "inputs", "outputs")
     }
     manifest = {
         "command": args.command,
@@ -87,7 +96,11 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], started: float
     write_json(path, manifest)
 
 
-def _cmd_gen(args) -> None:
+# Each command returns its summary line, which main prints once the
+# manifest is written.
+
+
+def _cmd_gen(args) -> str:
     if args.seed < 0:
         raise _UsageError("seed must be a non-negative integer")
     rng = np.random.default_rng(args.seed)
@@ -101,12 +114,12 @@ def _cmd_gen(args) -> None:
         data = generate(args.informative, args.random or 0, args.n, rng)
     save_dataset(data, args.out)
     save_schema(data.schema, args.schema_out)
-    print(f"wrote {len(data)} records to {args.out}")
+    return f"wrote {len(data)} records to {args.out}"
 
 
-def _cmd_depth(args) -> None:
+def _cmd_depth(args) -> str:
     schema = load_schema(args.schema)
-    print(optimal_depth(schema.num_continuous, schema.num_discrete))
+    return str(optimal_depth(schema.num_continuous, schema.num_discrete))
 
 
 def _train_config(args) -> TrainConfig:
@@ -122,7 +135,7 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args) -> str:
     schema = load_schema(args.schema)
     data = load_dataset(args.data, schema)
     config = _train_config(args)
@@ -136,13 +149,11 @@ def _cmd_train(args) -> None:
     save_model(model, args.out)
     if args.diagnostics is not None:
         write_json(args.diagnostics, diagnostics_to_dict(collect_diagnostics(model)))
-    print(
-        f"trained {config.tau} trees at depth {model.config.depth_override}, "
-        f"spent epsilon {float(ledger.composed_cost())}"
-    )
+    return (f"trained {config.tau} trees at depth {model.config.depth_override}, "
+            f"spent epsilon {float(ledger.composed_cost())}")
 
 
-def _cmd_predict(args) -> None:
+def _cmd_predict(args) -> str:
     model = load_model(args.model)
     schema = model.schema
     if "prediction" in schema.feature_names or schema.label_column == "prediction":
@@ -154,10 +165,10 @@ def _cmd_predict(args) -> None:
     header, columns = csv_table(data)
     write_csv(args.out, header + ["prediction"],
               columns + [(codes, schema.class_labels)])
-    print(f"wrote {len(data)} predictions to {args.out}")
+    return f"wrote {len(data)} predictions to {args.out}"
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args) -> str:
     schema = load_schema(args.schema)
     data = load_dataset(args.data, schema)
     config = _train_config(args)
@@ -169,10 +180,8 @@ def _cmd_eval(args) -> None:
     )
     report = report_to_dict(config, args.folds, args.repeats, metrics, diagnostics)
     write_json(args.report, report)
-    print(
-        f"accuracy {metrics.accuracy.mean:.4f} +/- {metrics.accuracy.std:.4f} "
-        f"over {args.folds}x{args.repeats} folds"
-    )
+    return (f"accuracy {metrics.accuracy.mean:.4f} +/- {metrics.accuracy.std:.4f} "
+            f"over {args.folds}x{args.repeats} folds")
 
 
 def _parse_counts(text: str) -> dict[str, int]:
@@ -193,7 +202,7 @@ def _parse_counts(text: str) -> dict[str, int]:
     return counts
 
 
-def _cmd_audit(args) -> None:
+def _cmd_audit(args) -> str:
     counts = _parse_counts(args.counts)
     report = neighbor_ratio_audit(
         counts, args.epsilon, sensitivity_mode=args.sensitivity
@@ -203,11 +212,8 @@ def _cmd_audit(args) -> None:
         write_json(args.report, document)
     else:
         print(json.dumps(document, indent=2))
-    print(
-        f"max log ratio {document['max_log_ratio']} at epsilon {args.epsilon} "
-        f"({args.sensitivity} sensitivity)",
-        file=sys.stderr,
-    )
+    return (f"max log ratio {document['max_log_ratio']} at epsilon {args.epsilon} "
+            f"({args.sensitivity} sensitivity)")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -246,12 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--schema-out", required=True, help="output schema path")
-    # outputs: the flags naming files the command writes, the manifest's first
-    gen.set_defaults(func=_cmd_gen, outputs=("--out", "--schema-out"))
+    # inputs and outputs: the flags naming files the command reads and
+    # writes; the first output names the manifest
+    gen.set_defaults(func=_cmd_gen, inputs=(), outputs=("--out", "--schema-out"))
 
     depth = commands.add_parser("depth", help="print the derived tree depth")
     depth.add_argument("--schema", required=True)
-    depth.set_defaults(func=_cmd_depth, outputs=())
+    depth.set_defaults(func=_cmd_depth, inputs=("--schema",), outputs=())
 
     train = commands.add_parser("train", help="train a private forest")
     _add_train_flags(train)
@@ -259,21 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--diagnostics", default=None,
                        help="also write a leaf diagnostics report here "
                             "(not privacy safe)")
-    train.set_defaults(func=_cmd_train, outputs=("--out", "--diagnostics"))
+    train.set_defaults(func=_cmd_train, inputs=("--data", "--schema"),
+                       outputs=("--out", "--diagnostics"))
 
     predict = commands.add_parser("predict", help="label records with a model")
     predict.add_argument("--model", required=True)
     predict.add_argument("--data", required=True)
     predict.add_argument("--out", required=True,
                          help="CSV with an appended prediction column")
-    predict.set_defaults(func=_cmd_predict, outputs=("--out",))
+    predict.set_defaults(func=_cmd_predict, inputs=("--model", "--data"),
+                         outputs=("--out",))
 
     evaluate = commands.add_parser("eval", help="repeated cross-validation")
     _add_train_flags(evaluate)
     evaluate.add_argument("--folds", type=int, default=10)
     evaluate.add_argument("--repeats", type=int, default=10)
     evaluate.add_argument("--report", required=True, help="report JSON path")
-    evaluate.set_defaults(func=_cmd_eval, outputs=("--report",))
+    evaluate.set_defaults(func=_cmd_eval, inputs=("--data", "--schema"),
+                          outputs=("--report",))
 
     audit = commands.add_parser(
         "audit", help="measure output ratios against one-record neighbours"
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--sensitivity", choices=SENSITIVITY_MODES,
                        default=DEFAULT_SENSITIVITY_MODE)
     audit.add_argument("--report", default=None, help="report JSON path")
-    audit.set_defaults(func=_cmd_audit, outputs=("--report",))
+    audit.set_defaults(func=_cmd_audit, inputs=(), outputs=("--report",))
 
     return parser
 
@@ -295,9 +305,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         outputs = _outputs(args)
         started = time.monotonic()
-        args.func(args)
+        summary = args.func(args)
         if outputs:
             _write_manifest(args, outputs, started)
+        # audit's stdout carries its report when no --report is named
+        print(summary, file=sys.stderr if args.command == "audit" else sys.stdout)
         return 0
     except (_UsageError, ValueError, OSError) as exc:
         # a path that cannot be opened is a bad argument value

@@ -209,8 +209,8 @@ def _read_utf8(path: str, newline: str | None = None) -> Iterator[TextIO]:
             raise DataValidationError(f"{path}: not valid CSV: {exc}") from None
 
 
-def read_json(path: str):
-    """Parse a JSON file.
+def read_json(path: str, object_hook=None):
+    """Parse a JSON file, passing each object through ``object_hook`` if given.
 
     Bytes that are not UTF-8, malformed JSON, integers with more digits
     than Python converts and JSON nested too deeply are data errors.
@@ -218,7 +218,7 @@ def read_json(path: str):
     with _read_utf8(path) as handle:
         text = handle.read()
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except ValueError as exc:  # a JSONDecodeError, or the integer digit limit
         raise DataValidationError(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:

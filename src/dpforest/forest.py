@@ -34,6 +34,7 @@ from .tree import (
     leaf_assignments,
     max_leaves,
     node_from_dict,
+    node_json_hook,
     node_to_dict,
     optimal_depth,
     route_record,
@@ -306,7 +307,7 @@ def save_model(model: ForestModel, path: str) -> None:
         for i, tree in enumerate(model.trees):
             text = [",\n    " if i else "\n    "]
             write_node_json(tree, 2, text)
-            handle.write("".join(text))
+            handle.writelines(text)
         handle.write("\n  ]\n}\n" if model.trees else "]\n}\n")
 
 
@@ -352,4 +353,13 @@ def model_from_dict(obj: dict) -> ForestModel:
 
 
 def load_model(path: str) -> ForestModel:
+    """Read a model file, building its tree nodes while the JSON is parsed.
+
+    A file that this refuses is read again as plain dicts, so its error is
+    the first one ``model_from_dict`` finds in them.
+    """
+    try:
+        return model_from_dict(read_json(path, object_hook=node_json_hook))
+    except DataValidationError:
+        pass  # out of the handler, the refused document can be freed
     return model_from_dict(read_json(path))

@@ -25,12 +25,12 @@ from .errors import DataValidationError
 MIN_DOMAIN_WIDTH = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
     label: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinuousSplit:
     feature: str
     split: float
@@ -38,7 +38,7 @@ class ContinuousSplit:
     at_or_above: "TreeNode"
 
 
-@dataclass
+@dataclass(slots=True)
 class DiscreteSplit:
     """One child per value, in the feature's declared value order."""
 
@@ -47,6 +47,13 @@ class DiscreteSplit:
 
 
 TreeNode = Leaf | ContinuousSplit | DiscreteSplit
+
+# the members of each kind of node object in a model file
+_NODE_KEYS = {
+    "leaf": {"kind", "label"},
+    "split_cont": {"kind", "feature", "split", "below", "at_or_above"},
+    "split_disc": {"kind", "feature", "children"},
+}
 
 
 def expected_untested(num_continuous: int, depth: int) -> float:
@@ -278,54 +285,76 @@ def write_node_json(node: TreeNode, level: int, out: list[str]) -> None:
         out.append(pad + "}" + close)
 
 
+def node_json_hook(obj: dict):
+    """A ``json`` object hook that makes each node-shaped object a node.
+
+    An object is node-shaped when its "kind" is a node kind and its keys
+    are exactly that kind's keys. The node is not checked: ``node_from_dict``
+    checks it. Any other object is returned as it is, so a discrete
+    feature whose values are "kind" and "label" keeps its children dict:
+    the "kind" there holds a node, not a string.
+    """
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or obj.keys() != _NODE_KEYS.get(kind):
+        return obj
+    if kind == "leaf":
+        return Leaf(obj["label"])
+    if kind == "split_cont":
+        return ContinuousSplit(obj["feature"], obj["split"], obj["below"], obj["at_or_above"])
+    return DiscreteSplit(obj["feature"], obj["children"])
+
+
 def node_from_dict(obj, schema: FeatureSchema, depth: int) -> TreeNode:
     """Rebuild a tree from its serialized form, validating against the schema.
 
-    A tree with more than ``depth`` tests on a path is rejected.
+    ``obj`` holds dicts, or nodes that ``node_json_hook`` made, which are
+    checked and kept. A tree with more than ``depth`` tests on a path is
+    rejected. Leaf labels and feature names become the schema's strings.
     """
     features = {f.name: f for f in schema.features}
-    return _node_from_dict(obj, features, set(schema.class_labels), depth)
+    return _node_from_dict(obj, features, {c: c for c in schema.class_labels}, depth)
 
 
-def _node_from_dict(obj, features: dict[str, FeatureSpec], labels: set[str],
+def _node_from_dict(obj, features: dict[str, FeatureSpec], labels: dict[str, str],
                     depth: int) -> TreeNode:
-    if not isinstance(obj, dict):
+    if isinstance(obj, dict):
+        kind = obj.get("kind")
+        if not isinstance(kind, str) or kind not in _NODE_KEYS:
+            raise DataValidationError(f"unknown tree node kind {kind!r}")
+        # a missing member reads as null and an extra one is ignored
+        obj = node_json_hook({key: obj.get(key) for key in _NODE_KEYS[kind]})
+    elif not isinstance(obj, TreeNode):
         raise DataValidationError("tree node must be a JSON object")
-    kind = obj.get("kind")
-    if kind == "leaf":
-        label = obj.get("label")
+    if isinstance(obj, Leaf):
+        label = obj.label
         if not isinstance(label, str) or label not in labels:
             raise DataValidationError(f"leaf label {label!r} not in class labels")
-        return Leaf(label=label)
-    if kind not in ("split_cont", "split_disc"):
-        raise DataValidationError(f"unknown tree node kind {kind!r}")
+        obj.label = labels[label]
+        return obj
     if depth < 1:
         raise DataValidationError("tree is nested deeper than the model depth")
     depth -= 1
-    feature = obj.get("feature")
+    feature = obj.feature
     if not isinstance(feature, str):
         raise DataValidationError("tree node feature name must be a string")
     spec = features.get(feature)
     if spec is None:
         raise DataValidationError(f"unknown feature {feature!r} in tree")
-    if kind == "split_cont":
+    obj.feature = spec.name
+    if isinstance(obj, ContinuousSplit):
         if not isinstance(spec, ContinuousFeature):
             raise DataValidationError(f"feature {feature!r} is not continuous")
-        return ContinuousSplit(
-            feature,
-            finite_number(obj.get("split"), f"split for {feature!r}"),
-            _node_from_dict(obj.get("below"), features, labels, depth),
-            _node_from_dict(obj.get("at_or_above"), features, labels, depth),
-        )
+        obj.split = finite_number(obj.split, f"split for {feature!r}")
+        obj.below = _node_from_dict(obj.below, features, labels, depth)
+        obj.at_or_above = _node_from_dict(obj.at_or_above, features, labels, depth)
+        return obj
     if isinstance(spec, ContinuousFeature):
         raise DataValidationError(f"feature {feature!r} is not discrete")
-    children = obj.get("children")
+    children = obj.children
     if not isinstance(children, dict) or set(children) != set(spec.values):
         raise DataValidationError(
             f"children of {feature!r} must cover exactly its declared values"
         )
-    return DiscreteSplit(
-        feature=feature,
-        children={v: _node_from_dict(children[v], features, labels, depth)
-                  for v in spec.values},
-    )
+    obj.children = {v: _node_from_dict(children[v], features, labels, depth)
+                    for v in spec.values}
+    return obj

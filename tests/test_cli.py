@@ -545,3 +545,53 @@ def test_model_declaring_a_huge_depth_still_predicts(workspace, tmp_path):
                      "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,input_flag,output_flag,output", [
+    ("predict", "--data", "--out", "data.csv"),
+    ("predict", "--model", "--out", "model.json"),
+    ("train", "--schema", "--out", "schema.manifest.json"),
+    ("train", "--data", "--diagnostics", "data.csv"),
+    ("train", "--schema", "the manifest of --out", "schema"),
+    ("eval", "--data", "--report", "data.csv"),
+])
+def test_an_output_naming_an_input_exits_one_before_any_write(
+        workspace, tmp_path, capsys, command, input_flag, output_flag, output):
+    (tmp_path / "link").symlink_to(tmp_path)
+    # the schema's name lets the manifest of an output called "schema" land on it
+    data, schema, model = (str(tmp_path / name) for name in
+                           ("data.csv", "schema.manifest.json", "model.json"))
+    (tmp_path / "data.csv").write_bytes(workspace["data"].read_bytes())
+    (tmp_path / "schema.manifest.json").write_bytes(workspace["schema"].read_bytes())
+    assert main(["train", "--data", data, "--schema", schema, "--epsilon", "1.0",
+                 "--trees", "2", "--out", model]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    # the output reaches the input through a symlink to its directory
+    outputs = {"--out": str(tmp_path / "out"), "--diagnostics": str(tmp_path / "diag"),
+               "--report": str(tmp_path / "report")}
+    outputs[output_flag.removeprefix("the manifest of ")] = str(tmp_path / "link" / output)
+    argv = {
+        "predict": ["predict", "--model", model, "--data", data, "--out", outputs["--out"]],
+        "train": ["train", "--data", data, "--schema", schema, "--epsilon", "1.0",
+                  "--trees", "2", "--out", outputs["--out"],
+                  "--diagnostics", outputs["--diagnostics"]],
+        "eval": ["eval", "--data", data, "--schema", schema, "--epsilon", "1.0",
+                 "--trees", "2", "--folds", "2", "--repeats", "1",
+                 "--report", outputs["--report"]],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"{input_flag} and {output_flag} name the same file" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_a_manifest_that_cannot_be_written_prints_one_stderr_line(tmp_path, capsys):
+    report = tmp_path / ("r" * 245 + ".json")  # the manifest's name is over 255 bytes
+    assert main(["audit", "--counts", "A:3,B:2", "--epsilon", "1",
+                 "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert "File name too long" in captured.err
