@@ -122,6 +122,13 @@ CASES = {
          "--report", "{dir}/eval-report"],
         "be9fbf0993ac57a45a5345292e800e1dcb81ae6d29e43acbc7babb3870e52b08",
     ),
+    # the binary AUC and F1 path under global-mode flips
+    "eval-report-global-disjoint": (
+        ["eval", "--epsilon", "1.0", "--trees", "4", "--depth", "4", "--seed", "2",
+         "--sensitivity", "global", "--budget", "disjoint", "--folds", "3", "--repeats", "2",
+         "--report", "{dir}/eval-report-global-disjoint"],
+        "076ce62241f46f60a9422d945f1b085427edc05459eea3f69d54b8515604442f",
+    ),
     "audit-report": (
         ["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
          "--sensitivity", "smooth", "--report", "{dir}/audit-report"],
