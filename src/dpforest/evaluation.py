@@ -3,7 +3,8 @@
 Binary metrics follow one convention throughout: the positive class is the
 least frequent label in the ground truth (ties broken by the caller's
 label order). AUC is computed from ranks with ties contributing half, so
-it agrees with the pairwise comparison definition exactly.
+it agrees with the pairwise comparison definition exactly. Labels may be
+class names or integer codes.
 """
 
 from __future__ import annotations
@@ -29,64 +30,58 @@ def accuracy(predictions: Sequence, truth: Sequence) -> float:
         raise ValueError("predictions and truth differ in length")
     if len(truth) == 0:
         raise ValueError("cannot score an empty evaluation set")
-    hits = sum(1 for p, t in zip(predictions, truth) if p == t)
-    return hits / len(truth)
+    return float(np.mean(np.asarray(predictions) == np.asarray(truth)))
 
 
-def least_frequent_label(truth: Sequence[str], order: Sequence[str] | None = None) -> str:
+def least_frequent_label(truth: Sequence, order: Sequence | None = None) -> str | int:
     """The rarest label in ``truth``; ties go to the earliest in ``order``."""
     if len(truth) == 0:
         raise ValueError("cannot pick a label from empty truth")
-    counts: dict[str, int] = {}
-    for label in truth:
-        counts[label] = counts.get(label, 0) + 1
-    candidates = order if order is not None else list(dict.fromkeys(truth))
-    present = [label for label in candidates if label in counts]
-    if len(present) != len(counts):
+    labels, first, counts = np.unique(
+        np.asarray(truth), return_index=True, return_counts=True)
+    count = dict(zip(labels.tolist(), counts.tolist()))
+    candidates = order if order is not None else labels[np.argsort(first)].tolist()
+    present = [label for label in candidates if label in count]
+    if len(present) != len(count):
         raise ValueError("order does not cover every label in truth")
-    return min(present, key=lambda label: (counts[label], present.index(label)))
+    return min(present, key=count.__getitem__)  # min keeps the earliest of a tie
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the average of their positions."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_values = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_values) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(values)]))
-    for a, b in zip(starts, ends):
-        ranks[order[a:b]] = (a + 1 + b) / 2.0
-    return ranks
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(sizes)
+    return ((ends - sizes + 1 + ends) / 2.0)[group]
 
 
-def auc(scores: Sequence[float], truth: Sequence[str], positive: str) -> float:
+def auc(scores: Sequence[float], truth: Sequence, positive: str | int) -> float:
     """Probability a positive outranks a negative, ties counting half."""
     if len(scores) != len(truth):
         raise ValueError("scores and truth differ in length")
-    classes = set(truth)
-    if len(classes) > 2:
+    truth = np.asarray(truth)
+    if len(np.unique(truth)) > 2:
         raise ValueError("AUC is only defined for binary problems")
-    if positive not in classes or len(classes) < 2:
-        raise ValueError("AUC needs both classes present in truth")
-    values = np.asarray(scores, dtype=np.float64)
-    is_positive = np.asarray([label == positive for label in truth])
+    is_positive = truth == positive
     n_pos = int(is_positive.sum())
     n_neg = len(truth) - n_pos
-    ranks = _tied_ranks(values)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes present in truth")
+    ranks = _tied_ranks(np.asarray(scores, dtype=np.float64))
     rank_sum = float(ranks[is_positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def f1(predictions: Sequence[str], truth: Sequence[str], positive: str) -> float:
+def f1(predictions: Sequence, truth: Sequence, positive: str | int) -> float:
     """Harmonic mean of precision and recall; zero when both degenerate."""
     if len(predictions) != len(truth):
         raise ValueError("predictions and truth differ in length")
     if len(truth) == 0:
         raise ValueError("cannot score an empty evaluation set")
-    tp = sum(1 for p, t in zip(predictions, truth) if p == positive and t == positive)
-    fp = sum(1 for p, t in zip(predictions, truth) if p == positive and t != positive)
-    fn = sum(1 for p, t in zip(predictions, truth) if p != positive and t == positive)
+    predicted = np.asarray(predictions) == positive
+    actual = np.asarray(truth) == positive
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
@@ -231,16 +226,12 @@ def cross_validate(
                 votes = vote_matrix(model, test)
                 # argmax takes the first maximum, which is the schema-order tie break
                 predicted_codes = np.argmax(votes, axis=1)
-                accuracy_samples.append(
-                    float(np.mean(predicted_codes == truth_codes)))
+                accuracy_samples.append(accuracy(predicted_codes, truth_codes))
                 if binary:
-                    truth = [class_labels[c] for c in truth_codes]
-                    positive = least_frequent_label(truth, order=class_labels)
-                    positive_code = class_labels.index(positive)
-                    scores = votes[:, positive_code] / config.tau
-                    auc_samples.append(auc(scores, truth, positive))
-                    predictions = [class_labels[c] for c in predicted_codes]
-                    f1_samples.append(f1(predictions, truth, positive))
+                    positive = least_frequent_label(truth_codes, order=range(2))
+                    scores = votes[:, positive] / config.tau
+                    auc_samples.append(auc(scores, truth_codes, positive))
+                    f1_samples.append(f1(predicted_codes, truth_codes, positive))
                 yield from model.diagnostics
 
     diagnostics = summarize_leaf_diagnostics(trained_diagnostics())

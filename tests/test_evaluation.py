@@ -9,6 +9,7 @@ import pytest
 from dpforest.data import ContinuousFeature, Dataset, FeatureSchema
 from dpforest.errors import DataValidationError
 from dpforest.evaluation import (
+    _tied_ranks,
     accuracy,
     auc,
     collect_diagnostics,
@@ -23,8 +24,39 @@ from dpforest.synth import generate
 
 from conftest import pairwise_auc_oracle
 
+# every class name the metric tests write, each with its integer code
+NAMES = ("a", "b", "c", "n", "p", "zzz")
+CODES = {name: code for code, name in enumerate(NAMES)}
 
-def test_accuracy():
+
+def _on_codes(metric):
+    """``metric`` fed label codes where the caller writes class names.
+
+    Label lists become int64 arrays, as ``cross_validate`` passes them, and
+    a label that ``least_frequent_label`` returns becomes a name again.
+    """
+    def encode(arg):
+        if isinstance(arg, str):
+            return CODES[arg]
+        if isinstance(arg, (list, tuple)) and all(isinstance(x, str) for x in arg):
+            return np.array([CODES[x] for x in arg], dtype=np.int64)
+        return arg
+
+    def call(*args, **kwargs):
+        result = metric(*map(encode, args), **{k: encode(v) for k, v in kwargs.items()})
+        return NAMES[result] if metric is least_frequent_label else result
+
+    return call
+
+
+def names_and_codes(metric):
+    """Run a test once on ``metric`` itself and once on its code-fed form."""
+    return pytest.mark.parametrize(
+        metric.__name__, [metric, _on_codes(metric)], ids=["names", "codes"])
+
+
+@names_and_codes(accuracy)
+def test_accuracy(accuracy):
     assert accuracy(["a", "b", "a"], ["a", "b", "b"]) == pytest.approx(2 / 3)
     assert accuracy(["a"], ["a"]) == 1.0
     with pytest.raises(ValueError):
@@ -33,7 +65,8 @@ def test_accuracy():
         accuracy([], [])
 
 
-def test_least_frequent_label():
+@names_and_codes(least_frequent_label)
+def test_least_frequent_label(least_frequent_label):
     assert least_frequent_label(["a", "a", "b"]) == "b"
     # a tie goes to the earliest label in the supplied order
     assert least_frequent_label(["a", "b"], order=("b", "a")) == "b"
@@ -44,7 +77,8 @@ def test_least_frequent_label():
         least_frequent_label(["a", "b"], order=("a",))
 
 
-def test_auc_hand_cases():
+@names_and_codes(auc)
+def test_auc_hand_cases(auc):
     # pairwise: (0.9 vs 0.8) + (0.9 vs 0.1) + (0.8 vs 0.8 tie) + (0.8 vs 0.1)
     got = auc([0.9, 0.8, 0.8, 0.1], ["p", "n", "p", "n"], "p")
     assert got == pytest.approx(0.875)
@@ -53,7 +87,8 @@ def test_auc_hand_cases():
     assert auc([0.5, 0.5, 0.5, 0.5], ["p", "p", "n", "n"], "p") == 0.5
 
 
-def test_auc_matches_pairwise_definition():
+@names_and_codes(auc)
+def test_auc_matches_pairwise_definition(auc):
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(5, 50))
@@ -67,7 +102,8 @@ def test_auc_matches_pairwise_definition():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_auc_validation():
+@names_and_codes(auc)
+def test_auc_validation(auc):
     with pytest.raises(ValueError):
         auc([0.1, 0.2], ["p", "p"], "p")
     with pytest.raises(ValueError):
@@ -78,13 +114,28 @@ def test_auc_validation():
         auc([0.1], ["a", "b"], "a")
 
 
-def test_f1_hand_cases():
+@names_and_codes(f1)
+def test_f1_hand_cases(f1):
     # tp=2 fp=1 fn=2: precision 2/3, recall 1/2, f1 = 4/7
     predictions = ["p", "p", "p", "n", "n", "n", "n"]
     truth = ["p", "p", "n", "p", "p", "n", "n"]
     assert f1(predictions, truth, "p") == pytest.approx(4 / 7)
     assert f1(["n", "n"], ["n", "n"], "p") == 0.0
     assert f1(["p", "p"], ["p", "p"], "p") == 1.0
+
+
+def test_tied_ranks_match_the_loop_over_tie_groups():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 60):
+        values = rng.integers(0, 4, size=n) / 3.0
+        order = np.argsort(values, kind="mergesort")
+        boundaries = np.flatnonzero(np.diff(values[order]) != 0) + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [n]))
+        want = np.empty(n)
+        for a, b in zip(starts, ends):
+            want[order[a:b]] = (a + 1 + b) / 2.0
+        assert _tied_ranks(values).tobytes() == want.tobytes()
 
 
 def _forest_diagnostics(seed, sensitivity_mode, data, tau=4, depth=3, epsilon=0.5):
