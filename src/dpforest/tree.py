@@ -131,6 +131,9 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
     lo = np.array([[f.lower if c else 0.0 for f, c in zip(features, continuous)]])
     hi = np.array([[f.upper if c else 1.0 for f, c in zip(features, continuous)]])
     levels = []  # per level: node count, inner nodes, their features and splits
+    # the feature pick's running counts never exceed the feature count; in
+    # the smallest type that holds it they stay small on a deep tree's last level
+    count_type = np.min_scalar_type(len(features))
     width = 1  # nodes in the level being drawn
     for level in range(depth):
         usable = (hi - lo > MIN_DOMAIN_WIDTH) & (np.nextafter(lo, hi) < hi)
@@ -139,7 +142,7 @@ def build_tree(schema: FeatureSchema, depth: int, rng: np.random.Generator) -> T
         if not inner.size:
             break
         picks = rng.integers(counts[inner])
-        feat = (usable[inner].cumsum(axis=1) > picks[:, None]).argmax(axis=1)
+        feat = (usable[inner].cumsum(axis=1, dtype=count_type) > picks[:, None]).argmax(axis=1)
         is_cont = continuous[feat]
         a, b = lo[inner, feat], hi[inner, feat]
         split = np.zeros(inner.size)  # a discrete node keeps 0: the bound that spends it

@@ -1,5 +1,6 @@
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ def test_build_tree_structure_properties():
         tree = build_tree(schema, depth, rng)
         bounds = {f.name: (f.lower, f.upper) for f in schema.continuous_features()}
         _check_structure(schema, tree, bounds, frozenset(), depth)
+
+
+def test_build_tree_peaks_below_twice_the_tree_it_returns():
+    """The level draw's temporaries stay smaller than the tree they build.
+
+    One depth-14 SynthC tree (16,384 leaves) holds 2.0 MiB. Its draw peaks
+    at 1.83 times that in tracemalloc with the feature pick counting in the
+    smallest type that holds the feature count, and at 2.33 times with
+    int64 counts.
+    """
+    schema = generate_preset("SynthC", 1000, np.random.default_rng(0)).schema
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tree = build_tree(schema, 14, np.random.default_rng(5))
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(tree, ContinuousSplit)
+    assert peak - start < 2.1 * (live - start)
 
 
 def test_build_tree_touches_no_records(mixed_schema):
