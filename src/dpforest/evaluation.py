@@ -37,8 +37,7 @@ def least_frequent_label(truth: Sequence, order: Sequence | None = None) -> str 
     """The rarest label in ``truth``; ties go to the earliest in ``order``."""
     if len(truth) == 0:
         raise ValueError("cannot pick a label from empty truth")
-    labels, first, counts = np.unique(
-        np.asarray(truth), return_index=True, return_counts=True)
+    labels, first, counts = np.unique(truth, return_index=True, return_counts=True)
     count = dict(zip(labels.tolist(), counts.tolist()))
     candidates = order if order is not None else labels[np.argsort(first)].tolist()
     present = [label for label in candidates if label in count]
