@@ -256,21 +256,23 @@ SCHEMA = FeatureSchema(
 GOOD_ROW = ["0.5", "p", "0.5", "no"]
 
 
-def _load_with(tmp_path, faults, n=2500):
+def _load_with(tmp_path, faults, n=2500, labelled=True):
     """Load an n-row CSV that holds GOOD_ROW except at the 1-based rows in
-    ``faults``, whose cells are in schema order; return the error message."""
+    ``faults``, whose cells are in schema order; return the error message.
+    Unless ``labelled``, the file has no label column and rows no label."""
+    header = ["b", "label", "a", "d"] if labelled else ["b", "a", "d"]  # not schema order
     path = tmp_path / "faulty.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["b", "label", "a", "d"])  # not schema order
+        writer.writerow(header)
         for row in range(1, n + 1):
-            cells = faults.get(row, GOOD_ROW)
-            if len(cells) == 4:
-                a, d, b, label = cells
-                cells = [b, label, a, d]
+            cells = faults.get(row, GOOD_ROW[:len(header)])
+            if len(cells) == len(header):
+                by_name = dict(zip(["a", "d", "b", "label"], cells))
+                cells = [by_name[name] for name in header]
             writer.writerow(cells)
     with pytest.raises(DataValidationError) as err:
-        load_dataset(str(path), SCHEMA)
+        load_dataset(str(path), SCHEMA, require_label=labelled)
     prefix = f"{path}: "
     message = str(err.value)
     assert message.startswith(prefix)
@@ -346,6 +348,38 @@ def test_value_errors_go_row_by_row_in_schema_order(tmp_path):
     assert _load_with(tmp_path, faults) == (
         "row 1200: feature 'd': value 's' not in declared values"
     )
+
+
+def test_value_errors_in_two_blocks_go_by_row_before_slot(tmp_path):
+    message = _load_with(tmp_path, {
+        999: ["0.5", "p", "0.5", "maybe"],
+        1001: ["9.0", "p", "0.5", "no"],
+    })
+    assert message == "row 999: label 'maybe' not in class labels"
+
+
+def test_ragged_row_beats_an_earlier_value_error_in_its_block(tmp_path):
+    message = _load_with(tmp_path, {
+        1200: ["9.0", "p", "0.5", "no"],
+        1250: ["0.5", "p"],
+    })
+    assert message == "row 1250: expected 4 cells, got 2"
+
+
+@pytest.mark.parametrize("faults,expected", [
+    ({1000: ["9.0", "p", "0.5", "no"], 1001: ["0.5", "s", "0.5", "no"]},
+     "row 1000: feature 'a': value 9.0 outside bounds [0.0, 1.0]"),
+    ({1000: ["0.5", "s", "0.5", "no"], 1001: ["9.0", "p", "0.5", "no"]},
+     "row 1000: feature 'd': value 's' not in declared values"),
+])
+def test_value_errors_either_side_of_the_block_edge(tmp_path, faults, expected):
+    assert _load_with(tmp_path, faults) == expected
+
+
+def test_value_error_in_a_file_without_labels(tmp_path):
+    message = _load_with(tmp_path, {1500: ["0.5", "p", "2.0"], 1600: ["0.5", "z", "0.5"]},
+                         labelled=False)
+    assert message == "row 1500: feature 'b': value 2.0 outside bounds [0.0, 1.0]"
 
 
 def test_bounds_are_inclusive(tmp_path):
