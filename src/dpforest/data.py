@@ -391,110 +391,80 @@ def load_dataset(path: str, schema: FeatureSchema, *, require_label: bool = True
         if unknown:
             raise DataValidationError(f"{path}: unknown column {unknown[0]!r}")
 
-        # one slot per schema feature, then the label: its CSV column and,
-        # for text, the code of each declared value
-        slots: list[tuple[int, dict[str, int] | None]] = [
-            (positions[f.name], None if isinstance(f, ContinuousFeature)
+        # one slot per schema feature, then the label (feature None): its CSV
+        # column, its feature and, for text, the code of each declared value
+        slots: list[tuple[int, FeatureSpec | None, dict[str, int] | None]] = [
+            (positions[f.name], f, None if isinstance(f, ContinuousFeature)
              else {v: i for i, v in enumerate(f.values)})
             for f in schema.features
         ]
         if has_label:
-            slots.append((positions[schema.label_column],
+            slots.append((positions[schema.label_column], None,
                           {c: i for i, c in enumerate(schema.class_labels)}))
         blocks: list[list[np.ndarray]] = [[] for _ in slots]
-        undeclared: list[tuple[int, str] | None] = [None] * len(slots)
+        # faults are (kind, row, slot, message), so min gives the first. Kind 0,
+        # a ragged row or an unparseable cell, stops the read with its block;
+        # kind 1, a bad value, waits for the blocks after it. The first fault
+        # so far competes with each block's own, which come in row order.
+        fault: tuple[int, int, int, str] | None = None
         width, done = len(header), 0
         while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            faults = [fault] if fault else []
             lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
             ragged = np.flatnonzero(lengths != width)
             if ragged.size:
+                faults.append((0, done + int(ragged[0]), 0, f"expected {width} "
+                               f"cells, got {int(lengths[ragged[0]])}"))
                 rows = rows[:ragged[0]]
             cells = list(zip(*rows)) or [()] * width
-            unparsed: tuple[int, int] | None = None  # (row, slot) of the first
-            for k, (column, lookup) in enumerate(slots):
+            for k, (column, feat, lookup) in enumerate(slots):
                 text = cells[column]
                 if lookup is None:
                     try:
                         codes = np.fromiter(map(float, text), np.float64, len(text))
                     except ValueError:
                         row = next(i for i, cell in enumerate(text) if not _parses(cell))
-                        if unparsed is None or row < unparsed[0]:
-                            unparsed = (row, k)
+                        faults.append((0, done + row, k, f"feature {feat.name!r}: "
+                                       f"cannot parse {text[row]!r} as a number"))
                         continue
+                    bad = np.flatnonzero(~((codes >= feat.lower) & (codes <= feat.upper)))
+                    if bad.size:
+                        value = float(codes[bad[0]])
+                        faults.append((1, done + int(bad[0]), k, (
+                            f"feature {feat.name!r}: value is not finite"
+                            if not math.isfinite(value) else
+                            f"feature {feat.name!r}: value {value!r} outside "
+                            f"bounds [{feat.lower}, {feat.upper}]"
+                        )))
                 else:
                     codes = np.fromiter(map(lookup.get, text, itertools.repeat(-1)),
                                         np.int32, len(text))
                     bad = np.flatnonzero(codes < 0)
-                    if bad.size and undeclared[k] is None:
-                        undeclared[k] = (done + int(bad[0]), text[bad[0]])
+                    if bad.size:
+                        faults.append((1, done + int(bad[0]), k, (
+                            f"label {text[bad[0]]!r} not in class labels" if feat is None
+                            else f"feature {feat.name!r}: value {text[bad[0]]!r} "
+                                 f"not in declared values"
+                        )))
                 blocks[k].append(codes)
-            if unparsed is not None:
-                row, k = unparsed
-                raise DataValidationError(
-                    f"{path}: row {done + row + 1}: feature "
-                    f"{schema.features[k].name!r}: cannot parse "
-                    f"{cells[slots[k][0]][row]!r} as a number"
-                )
-            if ragged.size:
-                raise DataValidationError(
-                    f"{path}: row {done + int(ragged[0]) + 1}: expected {width} "
-                    f"cells, got {int(lengths[ragged[0]])}"
-                )
+            fault = min(faults, default=None)
+            if fault and fault[0] == 0:
+                break
             done += len(rows)
 
+    if fault:
+        raise DataValidationError(f"{path}: row {fault[1] + 1}: {fault[3]}")
     arrays = [
         np.concatenate(parts) if parts
         else np.empty(0, np.float64 if lookup is None else np.int32)
-        for parts, (_, lookup) in zip(blocks, slots)
+        for parts, (_, _, lookup) in zip(blocks, slots)
     ]
-    fault = _first_value_fault(schema, arrays, undeclared)
-    if fault:
-        raise DataValidationError(f"{path}: {fault}")
-    try:
-        return Dataset(
-            schema,
-            dict(zip(schema.feature_names, arrays)),
-            arrays[-1] if has_label else None,
-        )
-    except DataValidationError as exc:
-        raise DataValidationError(f"{path}: {exc}") from None
-
-
-def _first_value_fault(
-    schema: FeatureSchema,
-    arrays: list[np.ndarray],
-    undeclared: list[tuple[int, str] | None],
-) -> str | None:
-    """The first value fault, row by row and in slot order within a row.
-
-    Slots are the schema features, then the label if there is one.
-    ``undeclared`` holds, per text slot, the first row whose text is not a
-    declared value and that text.
-    """
-    faults: list[tuple[int, int, str]] = []  # (row, slot, message)
-    for k, feat in enumerate(schema.features):
-        if isinstance(feat, ContinuousFeature):
-            values = arrays[k]
-            bad = np.flatnonzero(~((values >= feat.lower) & (values <= feat.upper)))
-            if bad.size:
-                value = float(values[bad[0]])
-                faults.append((int(bad[0]), k, (
-                    f"feature {feat.name!r}: value is not finite"
-                    if not math.isfinite(value) else
-                    f"feature {feat.name!r}: value {value!r} outside "
-                    f"bounds [{feat.lower}, {feat.upper}]"
-                )))
-        elif undeclared[k] is not None:
-            row, text = undeclared[k]
-            faults.append((row, k, f"feature {feat.name!r}: value {text!r} "
-                                   f"not in declared values"))
-    if len(undeclared) > len(schema.features) and undeclared[-1] is not None:
-        row, text = undeclared[-1]
-        faults.append((row, len(undeclared) - 1, f"label {text!r} not in class labels"))
-    if not faults:
-        return None
-    row, _, message = min(faults)
-    return f"row {row + 1}: {message}"
+    # the blocks passed every check that Dataset makes, so it raises nothing
+    return Dataset(
+        schema,
+        dict(zip(schema.feature_names, arrays)),
+        arrays[-1] if has_label else None,
+    )
 
 
 def _parses(text: str) -> bool:
