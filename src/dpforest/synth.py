@@ -17,6 +17,11 @@ from .data import ContinuousFeature, Dataset, FeatureSchema
 
 CLASS_LABELS = ("c0", "c1")
 
+# most cells one dataset may draw, n * features plus the informative mix:
+# about 200 times the 30,000 x 10 of the largest benchmark set, and at
+# 512 MiB of float64 per copy, small enough for the few copies a draw holds
+MAX_CELLS = 2**26
+
 
 @dataclass(frozen=True)
 class SynthPreset:
@@ -63,6 +68,10 @@ def generate(
         raise ValueError("random feature count must be non-negative")
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be even and at least 2")
+    cells = n * (informative + random_features) + informative**2
+    if cells > MAX_CELLS:
+        raise ValueError(f"{n} records of {informative + random_features} features "
+                         f"draw {cells} cells, over the limit of {MAX_CELLS}")
 
     k = informative
     center_a = rng.integers(0, 2, size=k) * 2 - 1

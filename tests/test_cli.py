@@ -176,6 +176,18 @@ def test_usage_errors_exit_one(workspace, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_gen_over_the_cell_limit_exits_one_before_any_draw(tmp_path, capsys):
+    # 10**14 rows is more memory than a 47-bit address space holds, so
+    # without the check numpy refuses at once and nothing is allocated
+    code = main(["gen", "--preset", "SynthA", "--n", "100000000000000",
+                 "--out", str(tmp_path / "x.csv"), "--schema-out", str(tmp_path / "y.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "500000000000025 cells, over the limit of 67108864" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command,second,named", [
     ("gen", "out", ("--out", "--schema-out")),
     ("gen", "out.manifest.json", ("--schema-out", "the manifest of --out")),

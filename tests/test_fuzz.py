@@ -245,6 +245,9 @@ def test_mutated_flag_values(files, data):
     root = files["root"]
     commands = {
         "depth": ["depth", "--schema", files["schema"]],
+        "gen": ["gen", "--preset", "SynthA", "--n", "20", "--seed", "1",
+                "--out", str(root / "out-gen.csv"),
+                "--schema-out", str(root / "out-gen.schema.json")],
         "train": ["train", "--data", files["data"], "--schema", files["schema"],
                   *TRAIN, "--threads", "1", "--out", str(root / "out-model.json")],
         "predict": ["predict", "--model", files["model"], "--data", files["data"],
@@ -259,7 +262,8 @@ def test_mutated_flag_values(files, data):
     # a path is mutated in the file tests; a huge --repeats is a request
     # for that much work, not a fault
     if data.draw(st.booleans()) and argv[at] not in (
-            "--schema", "--data", "--model", "--out", "--report", "--repeats"):
+            "--schema", "--data", "--model", "--out", "--schema-out", "--report",
+            "--repeats"):
         argv[at + 1] = data.draw(FLAG_VALUES)
     else:
         del argv[at:at + 2]
