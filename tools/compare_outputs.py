@@ -9,12 +9,18 @@ fixed seeds:
 - ``gen`` for SynthA, SynthC, SynthF and SynthG;
 - on each generated set, ``train``, ``predict`` and ``eval`` in all four
   sensitivity x budget pairs;
-- ``audit`` in both sensitivity modes.
+- ``audit`` in both sensitivity modes;
+- ``train`` and ``predict`` on a fixed set of refused inputs that the
+  script writes into each run's directory first: 2,500-row CSVs with one
+  fault each or several around the 1,000-row block edge, a bad schema and
+  a bad model.
 
 Every file a run writes is hashed with sha256. A manifest is hashed with
 its ``duration_seconds`` removed, since that records wall time. The
 script prints both hashes of every output and exits 1 when any output
-differs, is missing on one side, or a command's exit code differs.
+differs, is missing on one side, or a command's exit code or stderr
+differs. Paths are relative to the run's directory, so stderr matches
+across trees.
 """
 
 from __future__ import annotations
@@ -31,18 +37,71 @@ PRESETS = ("SynthA", "SynthC", "SynthF", "SynthG")
 PAIRS = [(s, b) for s in ("smooth", "global") for b in ("disjoint", "split")]
 FOREST = ["--epsilon", "1.0", "--trees", "10", "--depth", "6", "--seed", "5"]
 
+# refused inputs: a schema with continuous and discrete features, and rows
+# in schema order (a, d, b, label) that differ from GOOD_ROW where a file
+# names them; each file has 2,500 rows, so faults fall in three blocks
+REFUSED_SCHEMA = {
+    "features": [
+        {"name": "a", "kind": "continuous", "lower": 0.0, "upper": 1.0},
+        {"name": "d", "kind": "discrete", "values": ["p", "q"]},
+        {"name": "b", "kind": "continuous", "lower": 0.0, "upper": 1.0},
+    ],
+    "label_column": "label",
+    "class_labels": ["no", "yes"],
+}
+GOOD_ROW = ["0.5", "p", "0.5", "no"]
+FAULTY_CSVS = {
+    "good": {},
+    "ragged": {1250: ["0.5", "p"]},
+    "unparseable": {700: ["0.5", "p", "zero", "no"]},
+    "non-finite": {1800: ["nan", "p", "0.5", "no"]},
+    "out-of-bounds": {1001: ["0.5", "p", "-1.5", "no"]},
+    "undeclared": {1500: ["0.5", "r", "0.5", "no"]},
+    "unknown-label": {999: ["0.5", "p", "0.5", "maybe"]},
+    "values-across-edge": {999: ["0.5", "p", "0.5", "maybe"], 1001: ["9.0", "p", "0.5", "no"]},
+    "value-then-ragged": {1000: ["9.0", "p", "0.5", "no"], 1001: ["0.5"]},
+    "value-then-unparseable": {998: ["0.5", "r", "0.5", "no"],
+                               2003: ["0.5", "p", "--", "yes"]},
+    "unparseable-and-ragged": {1700: ["x", "p", "0.5", "no"], 1701: ["0.5"]},
+}
+BAD_FILES = {
+    "refused-bad.schema.json": dict(REFUSED_SCHEMA, features=[
+        {"name": "d", "kind": "discrete", "values": ["p"]}]),
+    "refused-bad.model.json": {
+        "format_version": 1, "schema": REFUSED_SCHEMA,
+        "config": {"epsilon": 1.0, "tau": 1, "depth": 1, "sensitivity_mode": "smooth",
+                   "budget_mode": "disjoint", "seed": 5},
+        "trees": [{"kind": "split_disc", "feature": "d", "children": {
+            "p": {"kind": "leaf", "label": "no"}, "q": {"kind": "leaf", "label": "maybe"}}}],
+    },
+}
+
 # Runs inside each tree: reads the argv list from stdin, runs every command
-# in order and prints where the package came from and each exit code.
+# in order and prints where the package came from, each exit code and each
+# command's stderr.
 RUNNER = """
 import contextlib, io, json, sys
 import dpforest
 from dpforest.cli import main
-codes = []
+codes, errors = [], []
 for argv in json.load(sys.stdin):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         codes.append(main(argv))
-print(json.dumps({"package": dpforest.__file__, "codes": codes}))
+    errors.append(err.getvalue())
+print(json.dumps({"package": dpforest.__file__, "codes": codes, "errors": errors}))
 """
+
+
+def write_refused_inputs(workdir: Path) -> None:
+    """Write the refused inputs, the same bytes for every tree."""
+    (workdir / "refused.schema.json").write_text(json.dumps(REFUSED_SCHEMA))
+    for name, document in BAD_FILES.items():
+        (workdir / name).write_text(json.dumps(document))
+    for name, faults in FAULTY_CSVS.items():
+        lines = ["a,d,b,label"] + [",".join(faults.get(row, GOOD_ROW))
+                                   for row in range(1, 2501)]
+        (workdir / f"refused-{name}.csv").write_text("\r\n".join(lines) + "\r\n")
 
 
 def commands() -> list[list[str]]:
@@ -65,11 +124,22 @@ def commands() -> list[list[str]]:
     for sensitivity in ("smooth", "global"):
         argvs.append(["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
                       "--sensitivity", sensitivity, "--report", f"audit-{sensitivity}.json"])
+    for name in FAULTY_CSVS:
+        argvs.append(["train", "--data", f"refused-{name}.csv", "--schema",
+                      "refused.schema.json", *FOREST, "--out", f"refused-{name}.model.json"])
+        argvs.append(["predict", "--model", "refused-good.model.json", "--data",
+                      f"refused-{name}.csv", "--out", f"refused-{name}.predictions.csv"])
+    argvs.append(["train", "--data", "refused-good.csv", "--schema",
+                  "refused-bad.schema.json", *FOREST, "--out", "refused-schema.model.json"])
+    argvs.append(["predict", "--model", "refused-bad.model.json", "--data",
+                  "refused-good.csv", "--out", "refused-model.predictions.csv"])
     return argvs
 
 
-def run_tree(tree: Path, workdir: Path, argvs: list[list[str]]) -> list[int]:
-    """Run the matrix with ``tree``'s package in ``workdir``; return exit codes."""
+def run_tree(tree: Path, workdir: Path,
+             argvs: list[list[str]]) -> list[tuple[int, str]]:
+    """Run the matrix with ``tree``'s package in ``workdir``; return each
+    command's exit code and stderr."""
     src = (tree / "src").resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -80,7 +150,7 @@ def run_tree(tree: Path, workdir: Path, argvs: list[list[str]]) -> list[int]:
     result = json.loads(done.stdout.splitlines()[-1])
     if not Path(result["package"]).resolve().is_relative_to(src):
         sys.exit(f"{tree}: imported dpforest from {result['package']}, not from {src}")
-    return result["codes"]
+    return list(zip(result["codes"], result["errors"]))
 
 
 def digest(path: Path) -> str:
@@ -102,24 +172,28 @@ def main(argv: list[str]) -> int:
             return 2
     argvs = commands()
     with tempfile.TemporaryDirectory() as scratch:
-        digests, codes = [], []
+        digests, outcomes = [], []
         for side, tree in zip(("parent", "change"), trees):
             workdir = Path(scratch) / side
             workdir.mkdir()
-            codes.append(run_tree(tree, workdir, argvs))
+            write_refused_inputs(workdir)
+            outcomes.append(run_tree(tree, workdir, argvs))
             digests.append({p.name: digest(p) for p in workdir.iterdir()})
     differences = 0
-    for argv, parent_code, change_code in zip(argvs, *codes):
+    for argv, (parent_code, parent_err), (change_code, change_err) in zip(argvs, *outcomes):
         if parent_code != change_code:
             differences += 1
             print(f"exit {parent_code} -> {change_code}: {' '.join(argv)}")
+        if parent_err != change_err:
+            differences += 1
+            print(f"stderr {parent_err!r} -> {change_err!r}: {' '.join(argv)}")
     parent, change = digests
     for name in sorted(parent.keys() | change.keys()):
         before, after = parent.get(name, "missing"), change.get(name, "missing")
         same = before == after
         differences += not same
         print(f"{'same' if same else 'DIFF'}  {name}  {before}  {after}")
-    failed = sum(code != 0 for code in codes[0])
+    failed = sum(code != 0 for code, _ in outcomes[0])
     print(f"{len(argvs)} commands ({failed} exited non-zero at the parent), "
           f"{len(parent.keys() | change.keys())} outputs, {differences} differences")
     return 1 if differences else 0
