@@ -37,9 +37,10 @@ PRESETS = ("SynthA", "SynthC", "SynthF", "SynthG")
 PAIRS = [(s, b) for s in ("smooth", "global") for b in ("disjoint", "split")]
 FOREST = ["--epsilon", "1.0", "--trees", "10", "--depth", "6", "--seed", "5"]
 
-# refused inputs: a schema with continuous and discrete features, and rows
-# in schema order (a, d, b, label) that differ from GOOD_ROW where a file
-# names them; each file has 2,500 rows, so faults fall in three blocks
+# refused inputs: a schema with continuous and discrete features, and CSVs
+# whose rows, in schema order (a, d, b, label), differ from GOOD_ROW where
+# a file names them; each has 2,500 rows, so faults fall in three blocks.
+# "good" has none: it trains the model that predict scores the others with
 REFUSED_SCHEMA = {
     "features": [
         {"name": "a", "kind": "continuous", "lower": 0.0, "upper": 1.0},
@@ -50,7 +51,7 @@ REFUSED_SCHEMA = {
     "class_labels": ["no", "yes"],
 }
 GOOD_ROW = ["0.5", "p", "0.5", "no"]
-FAULTY_CSVS = {
+REFUSED_CSVS = {
     "good": {},
     "ragged": {1250: ["0.5", "p"]},
     "unparseable": {700: ["0.5", "p", "zero", "no"]},
@@ -98,7 +99,7 @@ def write_refused_inputs(workdir: Path) -> None:
     (workdir / "refused.schema.json").write_text(json.dumps(REFUSED_SCHEMA))
     for name, document in BAD_FILES.items():
         (workdir / name).write_text(json.dumps(document))
-    for name, faults in FAULTY_CSVS.items():
+    for name, faults in REFUSED_CSVS.items():
         lines = ["a,d,b,label"] + [",".join(faults.get(row, GOOD_ROW))
                                    for row in range(1, 2501)]
         (workdir / f"refused-{name}.csv").write_text("\r\n".join(lines) + "\r\n")
@@ -124,7 +125,7 @@ def commands() -> list[list[str]]:
     for sensitivity in ("smooth", "global"):
         argvs.append(["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
                       "--sensitivity", sensitivity, "--report", f"audit-{sensitivity}.json"])
-    for name in FAULTY_CSVS:
+    for name in REFUSED_CSVS:
         argvs.append(["train", "--data", f"refused-{name}.csv", "--schema",
                       "refused.schema.json", *FOREST, "--out", f"refused-{name}.model.json"])
         argvs.append(["predict", "--model", "refused-good.model.json", "--data",
