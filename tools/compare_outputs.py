@@ -9,7 +9,8 @@ fixed seeds:
 - ``gen`` for SynthA, SynthC, SynthF and SynthG;
 - on each generated set, ``train``, ``predict`` and ``eval`` in all four
   sensitivity x budget pairs;
-- ``audit`` in both sensitivity modes;
+- ``audit`` in both sensitivity modes, and on refused counts (one label,
+  a negative count, a non-integer count, a total over the audit's limit);
 - ``train`` and ``predict`` on a fixed set of refused inputs that the
   script writes into each run's directory first: 2,500-row CSVs with one
   fault each or several around the 1,000-row block edge, a bad schema and
@@ -64,6 +65,13 @@ REFUSED_CSVS = {
     "value-then-unparseable": {998: ["0.5", "r", "0.5", "no"],
                                2003: ["0.5", "p", "--", "yes"]},
     "unparseable-and-ragged": {1700: ["x", "p", "0.5", "no"], 1701: ["0.5"]},
+}
+# counts that audit refuses, each with exit 1 and one stderr line
+REFUSED_AUDIT_COUNTS = {
+    "one-label": "A:3",
+    "negative": "A:-1,B:2",
+    "non-integer": "A:1.5,B:2",
+    "over-limit": "A:600,B:401",
 }
 BAD_FILES = {
     "refused-bad.schema.json": dict(REFUSED_SCHEMA, features=[
@@ -125,6 +133,9 @@ def commands() -> list[list[str]]:
     for sensitivity in ("smooth", "global"):
         argvs.append(["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
                       "--sensitivity", sensitivity, "--report", f"audit-{sensitivity}.json"])
+    for name, counts in REFUSED_AUDIT_COUNTS.items():
+        argvs.append(["audit", "--counts", counts, "--epsilon", "1.0",
+                      "--report", f"refused-audit-{name}.json"])
     for name in REFUSED_CSVS:
         argvs.append(["train", "--data", f"refused-{name}.csv", "--schema",
                       "refused.schema.json", *FOREST, "--out", f"refused-{name}.model.json"])
