@@ -26,7 +26,7 @@ from .budget import BudgetLedger
 from .data import Dataset, FeatureSchema, Record, partition_disjoint, read_json
 from .errors import DataValidationError, InternalInvariantError
 from .mechanism import (DEFAULT_SENSITIVITY_MODE, SENSITIVITY_MODES, QueryDiagnostics,
-                        majority_label_query)
+                        _derive_leaf, majority_label_query)
 from .tree import (
     TreeNode,
     build_tree,
@@ -195,6 +195,9 @@ def build_forest(
             )
         spends = [("training-data", epsilon_exact / config.tau)] * config.tau
 
+    # leaves with equal counts share one answer within a forest only, so
+    # the cache keeps the diagnostics of no forest but the last one trained
+    _derive_leaf.cache_clear()
     trees, per_tree = [], []
     for tree_seq, subset in zip(tree_seqs, subsets):
         rng = np.random.default_rng(tree_seq)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -96,11 +96,17 @@ def smooth_sensitivity(gap: int, epsilon: float) -> float:
 
 
 def log_smooth_sensitivity(gap: int, epsilon: float) -> float:
-    """Natural log of smooth_sensitivity, exact for any gap."""
+    """Natural log of smooth_sensitivity, exact for any gap a double holds.
+
+    A larger gap raises ValueError.
+    """
     if gap < 0:
         raise ValueError("gap must be non-negative")
     _check_epsilon(epsilon)
-    return -float(gap) * epsilon
+    try:
+        return -float(gap) * epsilon
+    except OverflowError:
+        raise ValueError("gap is larger than any double") from None
 
 
 def score_labels(counts: Mapping[str, int]) -> dict[str, float]:
@@ -112,19 +118,20 @@ def score_labels(counts: Mapping[str, int]) -> dict[str, float]:
     return _vote(counts)[0]
 
 
-def _log_weights(
+def _weight_table(
     scores: Mapping[str, float],
     sensitivity: float | None,
     epsilon: float,
     log_sensitivity: float | None,
-) -> dict[str, float]:
-    """Log selection weights, normalised so the best score has weight one.
+) -> tuple:
+    """The labels, their log weights, weights and the weights' ``math.fsum`` total.
 
-    Shifting by the top score keeps every exponent non-positive, which is
-    what makes the computation stable: the worst that can happen to a
-    trailing label is underflow to zero weight. A log sensitivity of -inf
-    (a sensitivity below the double floor) gives every trailing label
-    weight zero.
+    The one place scores become weights. Log weights are normalised so the
+    best score has weight one. Shifting by the top score keeps every
+    exponent non-positive, which is what makes the computation stable: the
+    worst that can happen to a trailing label is underflow to zero weight.
+    A log sensitivity of -inf (a sensitivity below the double floor) gives
+    every trailing label weight zero.
     """
     if not scores:
         raise ValueError("scores must not be empty")
@@ -141,29 +148,35 @@ def _log_weights(
         raise ValueError("log_sensitivity must be finite or -inf")
 
     top = max(scores.values())
-    out = {}
-    for label, score in scores.items():
+    log_weights = []
+    for score in scores.values():
         shortfall = top - score
         if shortfall == 0.0:
-            out[label] = 0.0
+            log_weights.append(0.0)
         elif log_sensitivity is not None:
             product = epsilon * shortfall / 2.0
             # a product that underflows to zero is taken apart in log space
             log_product = math.log(product) if product else (
                 math.log(epsilon) + math.log(shortfall) - math.log(2.0))
             log_exponent = log_product - log_sensitivity
-            if log_exponent > _MAX_FINITE_EXPONENT_LOG:
-                out[label] = -math.inf
-            else:
-                out[label] = -math.exp(log_exponent)
+            log_weights.append(-math.inf if log_exponent > _MAX_FINITE_EXPONENT_LOG
+                               else -math.exp(log_exponent))
         else:
-            out[label] = -epsilon * shortfall / (2.0 * sensitivity)
-    return out
+            log_weights.append(-epsilon * shortfall / (2.0 * sensitivity))
+    weights = tuple(math.exp(lw) for lw in log_weights)
+    return tuple(scores), tuple(log_weights), weights, math.fsum(weights)
 
 
-def _walk(labels: Sequence[str], weights: Sequence[float], total: float,
-          rng: np.random.Generator) -> str:
+def _log_probabilities(table: tuple) -> dict[str, float]:
+    """A weight table's log selection probabilities."""
+    labels, log_weights, _, total = table
+    log_total = math.log(total)
+    return {label: lw - log_total for label, lw in zip(labels, log_weights)}
+
+
+def _walk(table: tuple, rng: np.random.Generator) -> str:
     """The label whose cumulative weight first exceeds ``rng.random() * total``."""
+    labels, _, weights, total = table
     threshold = rng.random() * total
     acc = 0.0
     for label, weight in zip(labels, weights):
@@ -182,9 +195,8 @@ def exp_mechanism_distribution(
     log_sensitivity: float | None = None,
 ) -> dict[str, float]:
     """Exact selection probabilities of the exponential mechanism."""
-    log_p = exp_mechanism_log_distribution(
-        scores, sensitivity, epsilon, log_sensitivity=log_sensitivity
-    )
+    log_p = exp_mechanism_log_distribution(scores, sensitivity, epsilon,
+                                           log_sensitivity=log_sensitivity)
     return {label: math.exp(lp) for label, lp in log_p.items()}
 
 
@@ -200,9 +212,7 @@ def exp_mechanism_log_distribution(
     A label whose exponent magnitude exceeds the largest double reports
     -inf; its probability is beyond anything a float could express.
     """
-    log_weights = _log_weights(scores, sensitivity, epsilon, log_sensitivity)
-    log_total = math.log(math.fsum(math.exp(lw) for lw in log_weights.values()))
-    return {label: lw - log_total for label, lw in log_weights.items()}
+    return _log_probabilities(_weight_table(scores, sensitivity, epsilon, log_sensitivity))
 
 
 def exp_mechanism_select(
@@ -221,9 +231,7 @@ def exp_mechanism_select(
     over ``sensitivity``; pass it when the sensitivity itself would
     underflow a double.
     """
-    log_weights = _log_weights(scores, sensitivity, epsilon, log_sensitivity)
-    weights = [math.exp(lw) for lw in log_weights.values()]
-    return _walk(tuple(log_weights), weights, math.fsum(weights), rng)
+    return _walk(_weight_table(scores, sensitivity, epsilon, log_sensitivity), rng)
 
 
 @dataclass(frozen=True)
@@ -258,49 +266,46 @@ def majority_label_query(
     Returns the released label together with diagnostics computed from the
     raw counts (margin, smooth sensitivity at this query's epsilon, the
     true winners, and whether the release missed them). The diagnostics are
-    for offline analysis only.
+    for offline analysis only. Leaves with equal counts and the same outcome
+    may share one diagnostics object.
     """
     _check_mode(sensitivity_mode)
-    labels, _, weights, total, record_count, gap, smooth, preferred = _derive_leaf(
-        epsilon, sensitivity_mode, *counts, *counts.values())
-    label = _walk(labels, weights, total, rng)
-    diag = QueryDiagnostics(
-        record_count=record_count,
-        gap=gap,
-        smooth_sensitivity=smooth,
-        preferred_labels=preferred,
-        flipped=bool(preferred) and label not in preferred,
-    )
-    return label, diag
+    table, answers = _derive_leaf(epsilon, sensitivity_mode, *counts, *counts.values())
+    label = _walk(table, rng)
+    return label, answers[label]
 
 
-# training repeats few distinct rows (most leaves are empty), so a bounded
-# cache serves nearly every query; a refused row raises and is not stored.
-# The key is epsilon, the mode, the labels, then the counts, each its own
-# argument so that typed=True keeps True, 1, 1.0 and np.int64(1) apart: an
-# answer kept for one table never serves another that is only equal to it
+# one row, the empty one, is 83% to 99% of the queries of the benchmark's
+# workloads, so a bounded cache, which build_forest empties for each forest,
+# serves nearly all of them; most misses are rows seen once. A refused row
+# raises and is not stored. The key is epsilon, the mode, the labels, then
+# the counts, each its own argument so that typed=True keeps True, 1, 1.0
+# and np.int64(1) apart: an answer kept for one table never serves another
+# that is only equal to it
 @functools.lru_cache(maxsize=_LEAF_CACHE_SIZE, typed=True)
 def _derive_leaf(epsilon: float, sensitivity_mode: str, *labels_then_counts) -> tuple:
-    """Everything one leaf query derives from its counts, checked.
+    """One leaf query's whole answer for a count row, checked.
 
-    The labels in order, their log weights, weights and the weights'
-    ``math.fsum`` total, then the record count, gap, smooth sensitivity and
-    preferred labels of the diagnostics. The release draws from these
-    weights and the audit normalises them, so the audit measures exactly
-    what the release samples.
+    The row's ``_weight_table``, which the release walks and the audit
+    normalises, so the audit measures exactly what the release samples; and
+    each label's diagnostics if it is drawn: one shared object for the
+    preferred labels and one, flipped, for the rest. The empty row prefers
+    no label and has only the unflipped object.
     """
     half = len(labels_then_counts) // 2
     counts = dict(zip(labels_then_counts[:half], labels_then_counts[half:]))
     scores, gap = _vote(counts)
     log_smooth = log_smooth_sensitivity(gap, epsilon)
     if sensitivity_mode == "smooth":
-        log_weights = _log_weights(scores, None, epsilon, log_smooth)
+        table = _weight_table(scores, None, epsilon, log_smooth)
     else:
-        log_weights = _log_weights(scores, GLOBAL_SENSITIVITY, epsilon, None)
-    weights = tuple(math.exp(lw) for lw in log_weights.values())
-    return (tuple(log_weights), tuple(log_weights.values()), weights, math.fsum(weights),
-            int(sum(counts.values())), gap, math.exp(log_smooth),
-            tuple(lab for lab, s in scores.items() if s == 1.0))
+        table = _weight_table(scores, GLOBAL_SENSITIVITY, epsilon, None)
+    preferred = tuple(lab for lab, s in scores.items() if s == 1.0)
+    kept = QueryDiagnostics(int(sum(counts.values())), gap, math.exp(log_smooth),
+                            preferred, flipped=False)
+    flipped = replace(kept, flipped=True) if preferred else kept
+    return table, {
+        label: kept if score == 1.0 else flipped for label, score in scores.items()}
 
 
 @dataclass(frozen=True)
@@ -317,15 +322,9 @@ class AuditReport:
         def encode(value: float):
             return value if math.isfinite(value) else repr(value)
 
-        return {
-            "epsilon": self.epsilon,
-            "sensitivity_mode": self.sensitivity_mode,
-            "max_log_ratio": encode(self.max_log_ratio),
-            "worst_neighbor": self.worst_neighbor,
-            "per_label_ratios": {
-                label: encode(ratio) for label, ratio in self.per_label_ratios.items()
-            },
-        }
+        return dict(asdict(self), max_log_ratio=encode(self.max_log_ratio),
+                    per_label_ratios={label: encode(ratio)
+                                      for label, ratio in self.per_label_ratios.items()})
 
 
 def neighbor_ratio_audit(
@@ -345,24 +344,24 @@ def neighbor_ratio_audit(
     Ratios whose magnitude exceeds the double range are reported as inf.
     """
     def log_distribution(table: Mapping[str, int]) -> dict[str, float]:
-        labels, log_weights, _, total = _derive_leaf(
-            epsilon, sensitivity_mode, *table, *table.values())[:4]
-        # the same bits as exp_mechanism_log_distribution, from the release's total
-        log_total = math.log(total)
-        return {label: lw - log_total for label, lw in zip(labels, log_weights)}
+        return _log_probabilities(
+            _derive_leaf(epsilon, sensitivity_mode, *table, *table.values())[0])
 
     _check_mode(sensitivity_mode)
-    base = log_distribution(counts)
+    # counts, then their total, before any derivation, which a count past the
+    # double range would fail; an unhashable count fails as in the release
+    hash(tuple(counts.values()))
+    _vote(counts)
     total = sum(counts.values())
     if total > MAX_AUDIT_RECORDS:
         raise ValueError(
             f"refusing to audit {total} records (limit {MAX_AUDIT_RECORDS}); "
             "the audit enumerates neighbours exhaustively"
         )
+    base = log_distribution(counts)
 
     per_label = {label: 0.0 for label in counts}
-    max_ratio = 0.0
-    worst = None
+    max_ratio, worst = 0.0, None
     for change, step in (("add", 1), ("remove", -1)):
         for changed_label in counts:
             if counts[changed_label] + step < 0:
@@ -371,25 +370,11 @@ def neighbor_ratio_audit(
             neighbor_counts[changed_label] += step
             other = log_distribution(neighbor_counts)
             for label in counts:
-                a = base[label]
-                b = other[label]
-                if math.isinf(a) and math.isinf(b):
-                    ratio = math.inf
-                else:
-                    ratio = abs(a - b)
-                if ratio > per_label[label]:
-                    per_label[label] = ratio
+                a, b = base[label], other[label]
+                ratio = math.inf if math.isinf(a) and math.isinf(b) else abs(a - b)
+                per_label[label] = max(per_label[label], ratio)
                 if ratio > max_ratio:
                     max_ratio = ratio
-                    worst = {
-                        "change": change,
-                        "label": changed_label,
-                        "counts": neighbor_counts,
-                    }
-    return AuditReport(
-        epsilon=epsilon,
-        sensitivity_mode=sensitivity_mode,
-        max_log_ratio=max_ratio,
-        worst_neighbor=worst,
-        per_label_ratios=per_label,
-    )
+                    worst = {"change": change, "label": changed_label,
+                             "counts": neighbor_counts}
+    return AuditReport(epsilon, sensitivity_mode, max_ratio, worst, per_label)

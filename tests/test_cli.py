@@ -188,6 +188,19 @@ def test_gen_over_the_cell_limit_exits_one_before_any_draw(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_audit_of_a_count_past_the_double_range_exits_one(tmp_path, capsys):
+    # the total is refused before any derivation, which cannot take a gap
+    # that no double holds
+    huge = 10**400
+    code = main(["audit", "--counts", f"A:{huge},B:0", "--epsilon", "1",
+                 "--report", str(tmp_path / "audit.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"usage error: refusing to audit {huge} records (limit 1000)")
+    assert not (tmp_path / "audit.json").exists()
+
+
 @pytest.mark.parametrize("command,second,named", [
     ("gen", "out", ("--out", "--schema-out")),
     ("gen", "out.manifest.json", ("--schema-out", "the manifest of --out")),

@@ -15,7 +15,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpforest.cli import main
@@ -216,9 +216,12 @@ def test_mutated_eval_inputs(files, data):
          "--report", str(files["root"] / "out-report.json")])
 
 
+# unbounded integers stay far inside the double range, so 10**400, a count
+# past the double range, is drawn on purpose and given as an example
 COUNTS = st.one_of(
     st.text(max_size=16),
-    st.lists(st.tuples(st.text(max_size=3), st.integers()), max_size=4).map(
+    st.lists(st.tuples(st.text(max_size=3), st.integers() | st.just(10**400)),
+             max_size=4).map(
         lambda pairs: ",".join(f"{label}:{count}" for label, count in pairs)),
 )
 # flag values: text without digits, and numbers at the edges of each type;
@@ -234,6 +237,7 @@ FLAG_VALUES = st.one_of(
 @FUZZ
 @given(counts=COUNTS, epsilon=FLAG_VALUES,
        sensitivity=st.sampled_from(["smooth", "global"]))
+@example(counts=f"A:{10**400},B:0", epsilon="1", sensitivity="smooth")
 def test_mutated_audit_counts(counts, epsilon, sensitivity):
     run(["audit", "--counts", counts, "--epsilon", epsilon,
          "--sensitivity", sensitivity])

@@ -479,3 +479,33 @@ def test_audit_refuses_large_totals():
         neighbor_ratio_audit({"a": 600, "b": 600}, 1.0)
     # right at the cap is fine
     neighbor_ratio_audit({"a": 500, "b": 500}, 1.0, sensitivity_mode="global")
+
+
+@pytest.mark.parametrize("mode", ["smooth", "global"])
+def test_one_cached_row_serves_both_outcomes_with_shared_diagnostics(mode):
+    # at epsilon 0.1 a one-record margin flips often in either mode, so the
+    # same cached row answers with its kept and its flipped diagnostics
+    rng = np.random.default_rng(4)
+    counts = {"A": 3, "B": 2}
+    seen = {}
+    for _ in range(400):
+        label, diag = majority_label_query(counts, 0.1, rng, sensitivity_mode=mode)
+        assert (diag.record_count, diag.gap, diag.preferred_labels) == (5, 1, ("A",))
+        assert diag.smooth_sensitivity == math.exp(-0.1)
+        assert diag.flipped == (label not in diag.preferred_labels)
+        assert seen.setdefault(label, diag) is diag
+    assert set(seen) == {"A", "B"}
+    for _ in range(200):
+        label, diag = majority_label_query({"A": 0, "B": 0}, 0.1, rng,
+                                           sensitivity_mode=mode)
+        assert not diag.flipped and diag.empty and diag.preferred_labels == ()
+
+
+def test_a_count_past_the_double_range_is_refused():
+    with pytest.raises(ValueError, match="gap is larger than any double"):
+        log_smooth_sensitivity(10**400, 1.0)
+    with pytest.raises(ValueError, match="gap is larger than any double"):
+        majority_label_query({"a": 10**400, "b": 0}, 1.0, np.random.default_rng(0))
+    # the audit checks its total first, so it names the limit instead
+    with pytest.raises(ValueError, match=f"refusing to audit {10**400} records"):
+        neighbor_ratio_audit({"a": 10**400, "b": 0}, 1.0)
