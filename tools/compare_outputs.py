@@ -7,10 +7,12 @@ process runs a fixed matrix of ``dpforest`` commands at small sizes and
 fixed seeds:
 
 - ``gen`` for SynthA, SynthC, SynthF and SynthG;
-- on each generated set, ``train``, ``predict`` and ``eval`` in all four
+- ``depth`` on each generated schema, one ``train`` per set without
+  ``--diagnostics``, and ``train``, ``predict`` and ``eval`` in all four
   sensitivity x budget pairs;
-- ``audit`` in both sensitivity modes, and on refused counts (one label,
-  a negative count, a non-integer count, a total over the audit's limit);
+- ``audit`` in both sensitivity modes, with and without ``--report``, and
+  on refused counts (one label, a negative count, a non-integer count, a
+  total over the audit's limit);
 - ``train`` and ``predict`` on a fixed set of refused inputs that the
   script writes into each run's directory first: 2,500-row CSVs with one
   fault each or several around the 1,000-row block edge, a bad schema and
@@ -19,8 +21,8 @@ fixed seeds:
 Every file a run writes is hashed with sha256. A manifest is hashed with
 its ``duration_seconds`` removed, since that records wall time. The
 script prints both hashes of every output and exits 1 when any output
-differs, is missing on one side, or a command's exit code or stderr
-differs. Paths are relative to the run's directory, so stderr matches
+differs, is missing on one side, or a command's exit code, stdout or
+stderr differs. Paths are relative to the run's directory, so stderr matches
 across trees.
 """
 
@@ -86,19 +88,18 @@ BAD_FILES = {
 }
 
 # Runs inside each tree: reads the argv list from stdin, runs every command
-# in order and prints where the package came from, each exit code and each
-# command's stderr.
+# in order and prints where the package came from and each command's exit
+# code, stdout and stderr.
 RUNNER = """
 import contextlib, io, json, sys
 import dpforest
 from dpforest.cli import main
-codes, errors = [], []
+outcomes = []
 for argv in json.load(sys.stdin):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        codes.append(main(argv))
-    errors.append(err.getvalue())
-print(json.dumps({"package": dpforest.__file__, "codes": codes, "errors": errors}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        outcomes.append((main(argv), out.getvalue(), err.getvalue()))
+print(json.dumps({"package": dpforest.__file__, "outcomes": outcomes}))
 """
 
 
@@ -120,6 +121,8 @@ def commands() -> list[list[str]]:
         data = ["--data", f"{preset}.csv", "--schema", f"{preset}.schema.json"]
         argvs.append(["gen", "--preset", preset, "--n", "1200", "--seed", "11",
                       "--out", f"{preset}.csv", "--schema-out", f"{preset}.schema.json"])
+        argvs.append(["depth", "--schema", f"{preset}.schema.json"])
+        argvs.append(["train", *data, *FOREST, "--out", f"{preset}-plain.model.json"])
         for sensitivity, budget in PAIRS:
             name = f"{preset}-{sensitivity}-{budget}"
             modes = ["--sensitivity", sensitivity, "--budget", budget]
@@ -133,6 +136,8 @@ def commands() -> list[list[str]]:
     for sensitivity in ("smooth", "global"):
         argvs.append(["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
                       "--sensitivity", sensitivity, "--report", f"audit-{sensitivity}.json"])
+        argvs.append(["audit", "--counts", "A:3,B:2,C:0", "--epsilon", "0.5",
+                      "--sensitivity", sensitivity])
     for name, counts in REFUSED_AUDIT_COUNTS.items():
         argvs.append(["audit", "--counts", counts, "--epsilon", "1.0",
                       "--report", f"refused-audit-{name}.json"])
@@ -149,9 +154,9 @@ def commands() -> list[list[str]]:
 
 
 def run_tree(tree: Path, workdir: Path,
-             argvs: list[list[str]]) -> list[tuple[int, str]]:
+             argvs: list[list[str]]) -> list[tuple[int, str, str]]:
     """Run the matrix with ``tree``'s package in ``workdir``; return each
-    command's exit code and stderr."""
+    command's exit code, stdout and stderr."""
     src = (tree / "src").resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -162,7 +167,7 @@ def run_tree(tree: Path, workdir: Path,
     result = json.loads(done.stdout.splitlines()[-1])
     if not Path(result["package"]).resolve().is_relative_to(src):
         sys.exit(f"{tree}: imported dpforest from {result['package']}, not from {src}")
-    return list(zip(result["codes"], result["errors"]))
+    return [tuple(outcome) for outcome in result["outcomes"]]
 
 
 def digest(path: Path) -> str:
@@ -192,20 +197,18 @@ def main(argv: list[str]) -> int:
             outcomes.append(run_tree(tree, workdir, argvs))
             digests.append({p.name: digest(p) for p in workdir.iterdir()})
     differences = 0
-    for argv, (parent_code, parent_err), (change_code, change_err) in zip(argvs, *outcomes):
-        if parent_code != change_code:
-            differences += 1
-            print(f"exit {parent_code} -> {change_code}: {' '.join(argv)}")
-        if parent_err != change_err:
-            differences += 1
-            print(f"stderr {parent_err!r} -> {change_err!r}: {' '.join(argv)}")
+    for argv, *pair in zip(argvs, *outcomes):
+        for stream, before, after in zip(("exit", "stdout", "stderr"), *pair):
+            if before != after:
+                differences += 1
+                print(f"{stream} {before!r} -> {after!r}: {' '.join(argv)}")
     parent, change = digests
     for name in sorted(parent.keys() | change.keys()):
         before, after = parent.get(name, "missing"), change.get(name, "missing")
         same = before == after
         differences += not same
         print(f"{'same' if same else 'DIFF'}  {name}  {before}  {after}")
-    failed = sum(code != 0 for code, _ in outcomes[0])
+    failed = sum(code != 0 for code, _, _ in outcomes[0])
     print(f"{len(argvs)} commands ({failed} exited non-zero at the parent), "
           f"{len(parent.keys() | change.keys())} outputs, {differences} differences")
     return 1 if differences else 0
