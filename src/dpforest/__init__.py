@@ -3,110 +3,49 @@
 Trees are drawn without ever reading the data; the only data-dependent
 release is one noisy majority query per leaf, paid for out of an explicit
 privacy budget. See the README for the full tour.
+
+Each public name is imported from its layer module on first use (PEP 562),
+so ``import dpforest`` loads no layer and a command loads only the layers it
+runs.
 """
 
-from .budget import BudgetLedger, LedgerEntry
-from .data import (
-    ContinuousFeature,
-    Dataset,
-    DiscreteFeature,
-    FeatureSchema,
-    Record,
-    load_dataset,
-    load_schema,
-    partition_disjoint,
-    save_dataset,
-    save_schema,
-)
-from .errors import DataValidationError, DPForestError, InternalInvariantError
-from .evaluation import (
-    DiagnosticsReport,
-    MetricsReport,
-    MetricSummary,
-    accuracy,
-    auc,
-    collect_diagnostics,
-    cross_validate,
-    f1,
-)
-from .forest import (
-    ForestModel,
-    TrainConfig,
-    build_forest,
-    fill_leaf_labels,
-    load_model,
-    predict,
-    predict_batch,
-    predict_scores,
-    save_model,
-)
-from .mechanism import (
-    AuditReport,
-    QueryDiagnostics,
-    exp_mechanism_distribution,
-    exp_mechanism_select,
-    label_gap,
-    local_sensitivity_at_distance,
-    majority_label_query,
-    neighbor_ratio_audit,
-    score_labels,
-    smooth_sensitivity,
-)
-from .synth import PRESETS, SynthPreset, generate, generate_preset, get_preset
-from .tree import build_tree, expected_untested, optimal_depth, route_record
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "BudgetLedger",
-    "ContinuousFeature",
-    "DPForestError",
-    "DataValidationError",
-    "Dataset",
-    "DiagnosticsReport",
-    "DiscreteFeature",
-    "FeatureSchema",
-    "ForestModel",
-    "InternalInvariantError",
-    "LedgerEntry",
-    "MetricSummary",
-    "MetricsReport",
-    "PRESETS",
-    "QueryDiagnostics",
-    "Record",
-    "SynthPreset",
-    "TrainConfig",
-    "accuracy",
-    "auc",
-    "build_forest",
-    "build_tree",
-    "collect_diagnostics",
-    "cross_validate",
-    "exp_mechanism_distribution",
-    "exp_mechanism_select",
-    "expected_untested",
-    "f1",
-    "fill_leaf_labels",
-    "generate",
-    "generate_preset",
-    "get_preset",
-    "label_gap",
-    "load_dataset",
-    "load_model",
-    "load_schema",
-    "local_sensitivity_at_distance",
-    "majority_label_query",
-    "neighbor_ratio_audit",
-    "optimal_depth",
-    "partition_disjoint",
-    "predict",
-    "predict_batch",
-    "predict_scores",
-    "route_record",
-    "save_dataset",
-    "save_model",
-    "save_schema",
-    "score_labels",
-    "smooth_sensitivity",
-]
+# layer module -> the public names it defines
+_LAYERS = {
+    "budget": ("BudgetLedger", "LedgerEntry"),
+    "data": ("ContinuousFeature", "Dataset", "DiscreteFeature", "FeatureSchema", "Record",
+             "load_dataset", "load_schema", "partition_disjoint", "save_dataset",
+             "save_schema"),
+    "errors": ("DPForestError", "DataValidationError", "InternalInvariantError"),
+    "evaluation": ("DiagnosticsReport", "MetricSummary", "MetricsReport", "accuracy", "auc",
+                   "collect_diagnostics", "cross_validate", "f1"),
+    "forest": ("ForestModel", "TrainConfig", "build_forest", "fill_leaf_labels", "load_model",
+               "predict", "predict_batch", "predict_scores", "save_model"),
+    "mechanism": ("AuditReport", "QueryDiagnostics", "exp_mechanism_distribution",
+                  "exp_mechanism_select", "label_gap", "local_sensitivity_at_distance",
+                  "majority_label_query", "neighbor_ratio_audit", "score_labels",
+                  "smooth_sensitivity"),
+    "synth": ("PRESETS", "SynthPreset", "generate", "generate_preset", "get_preset"),
+    "tree": ("build_tree", "expected_untested", "optimal_depth", "route_record"),
+}
+_MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _LAYERS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LAYERS))

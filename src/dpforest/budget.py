@@ -19,6 +19,11 @@ from .errors import InternalInvariantError
 
 EpsilonLike = float | int | str | Fraction
 
+# how a forest spends its budget: disjoint subsets at the full budget, or
+# the whole data at budget/trees
+BUDGET_MODES = ("disjoint", "split")
+DEFAULT_BUDGET_MODE = "disjoint"
+
 
 def _as_fraction(value: EpsilonLike, what: str) -> Fraction:
     if isinstance(value, float):

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .budget import BudgetLedger
+from .budget import BUDGET_MODES, DEFAULT_BUDGET_MODE, BudgetLedger
 from .data import (
     csv_table,
     load_dataset,
@@ -25,24 +25,11 @@ from .data import (
     write_json,
 )
 from .errors import DataValidationError, InternalInvariantError
-from .evaluation import (
-    collect_diagnostics,
-    cross_validate,
-    diagnostics_to_dict,
-    report_to_dict,
-)
-from .forest import (
-    BUDGET_MODES,
-    DEFAULT_BUDGET_MODE,
-    TrainConfig,
-    build_forest,
-    load_model,
-    predict_batch,
-    save_model,
-)
 from .mechanism import DEFAULT_SENSITIVITY_MODE, SENSITIVITY_MODES, neighbor_ratio_audit
 from .synth import PRESETS, generate, generate_preset
-from .tree import optimal_depth
+
+# The forest, tree and evaluation layers are imported by the commands that
+# run them, so building the parser and running gen or audit loads none of them.
 
 
 class _UsageError(Exception):
@@ -118,11 +105,15 @@ def _cmd_gen(args) -> str:
 
 
 def _cmd_depth(args) -> str:
+    from .tree import optimal_depth
+
     schema = load_schema(args.schema)
     return str(optimal_depth(schema.num_continuous, schema.num_discrete))
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args):
+    from .forest import TrainConfig
+
     if args.threads < 0:
         raise _UsageError("threads must be non-negative")
     return TrainConfig(
@@ -136,6 +127,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> str:
+    from .forest import build_forest, save_model
+
     schema = load_schema(args.schema)
     data = load_dataset(args.data, schema)
     config = _train_config(args)
@@ -148,12 +141,16 @@ def _cmd_train(args) -> str:
     )
     save_model(model, args.out)
     if args.diagnostics is not None:
+        from .evaluation import collect_diagnostics, diagnostics_to_dict
+
         write_json(args.diagnostics, diagnostics_to_dict(collect_diagnostics(model)))
     return (f"trained {config.tau} trees at depth {model.config.depth_override}, "
             f"spent epsilon {float(ledger.composed_cost())}")
 
 
 def _cmd_predict(args) -> str:
+    from .forest import load_model, predict_batch
+
     model = load_model(args.model)
     schema = model.schema
     if "prediction" in schema.feature_names or schema.label_column == "prediction":
@@ -169,6 +166,8 @@ def _cmd_predict(args) -> str:
 
 
 def _cmd_eval(args) -> str:
+    from .evaluation import cross_validate, report_to_dict
+
     schema = load_schema(args.schema)
     data = load_dataset(args.data, schema)
     config = _train_config(args)
@@ -198,6 +197,12 @@ def _parse_counts(text: str) -> dict[str, int]:
         try:
             counts[label] = int(value)
         except ValueError:
+            # int() also refuses more digits than the interpreter's limit
+            digits = value.strip().lstrip("+-").replace("_", "")
+            limit = sys.get_int_max_str_digits()
+            if digits.isdecimal() and len(digits) > limit > 0:
+                raise _UsageError(
+                    f"count for {label!r} has more than {limit} digits") from None
             raise _UsageError(f"count for {label!r} is not an integer") from None
     return counts
 

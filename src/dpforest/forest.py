@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import BudgetLedger
+from .budget import BUDGET_MODES, DEFAULT_BUDGET_MODE, BudgetLedger
 from .data import Dataset, FeatureSchema, Record, partition_disjoint, read_json
 from .errors import DataValidationError, InternalInvariantError
 from .mechanism import (DEFAULT_SENSITIVITY_MODE, SENSITIVITY_MODES, QueryDiagnostics,
@@ -46,10 +46,6 @@ FORMAT_VERSION = 1
 # most leaves a forest may be drawn with; admits every synthetic preset at
 # its derived depth with the default 100 trees (SynthG: 100 * 2**15)
 MAX_FOREST_LEAVES = 2**22
-
-BUDGET_MODES = ("disjoint", "split")
-DEFAULT_BUDGET_MODE = "disjoint"
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -198,6 +199,24 @@ def test_audit_of_a_count_past_the_double_range_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"usage error: refusing to audit {huge} records (limit 1000)")
+    assert not (tmp_path / "audit.json").exists()
+
+
+@pytest.mark.parametrize("count,message", [
+    ("1" + "0" * 5000, "has more than 4300 digits"),
+    ("-1" + "0" * 5000, "has more than 4300 digits"),
+    ("1." + "0" * 5000, "is not an integer"),
+], ids=["digits", "negative-digits", "decimal"])
+def test_audit_of_a_count_past_the_digit_limit_names_the_limit(tmp_path, capsys, count,
+                                                              message):
+    # int() refuses a digit string longer than the interpreter's limit,
+    # which is not the same fault as a count that is no integer at all
+    assert sys.get_int_max_str_digits() == 4300
+    code = main(["audit", "--counts", f"A:{count},B:0", "--epsilon", "1",
+                 "--report", str(tmp_path / "audit.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: count for 'A' {message}\n"
     assert not (tmp_path / "audit.json").exists()
 
 
