@@ -47,6 +47,7 @@ FORMAT_VERSION = 1
 # its derived depth with the default 100 trees (SynthG: 100 * 2**15)
 MAX_FOREST_LEAVES = 2**22
 
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
